@@ -125,6 +125,22 @@ run_bench() {
     stage "cargo bench --no-run (benches compile)"
     cargo bench --workspace --no-run -q
 
+    # E11 smoke run: the design ablations over the gateway's remote-call
+    # path (route cache on/off, registry indexes, CPU model, X10
+    # repeats). Its cells are virtual time, VSR inquiries and records
+    # scanned, so any change to resolution or the wire shows up as
+    # drift. Emits BENCH_hotpath.json for the gate below.
+    stage "e11 ablations smoke (hot-path cells)"
+    cargo bench -p bench --bench e11_ablations -- --test
+
+    # E13 smoke run: the canonical fault schedule against the resilient
+    # and the single-attempt gateway; asserts resilience-on is strictly
+    # more available than resilience-off. Its retry, degraded-serve and
+    # breaker counts pin the retry loop and the stale-route fallback.
+    # Emits BENCH_resilience.json for the gate below.
+    stage "e13 resilience smoke (availability assertion)"
+    cargo bench -p bench --bench e13_resilience -- --test
+
     # E14 smoke run: its report functions assert the multiplexed-wire
     # thresholds (batched events/sec >= 3x unbatched at fan-out 64, wire
     # bytes/event <= 0.5x, idle p50 within 10%), so a regression in the

@@ -48,6 +48,7 @@ use crate::error::MetaError;
 use crate::intern::Name;
 use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
 use crate::obs::HistSketch;
+use crate::resilience::backoff;
 use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
 use simnet::{FaultPlan, Network, NodeId, Protocol, RepeatHandle, Sim, SimDuration, SimTime};
@@ -505,14 +506,12 @@ impl CloudBridgePcm {
         }
     }
 
-    /// The capped exponential backoff with deterministic jitter over
-    /// `[wait/2, wait]`, drawn from the island's seeded RNG.
+    /// The reconnect wait after `attempt` failed connects, paced by the
+    /// same capped, jittered backoff as the gateway's retries (drawn
+    /// from the island's seeded RNG).
     fn backoff(&self, attempt: u32) -> SimDuration {
-        let base = self.inner.cfg.base_backoff.as_micros().max(1);
-        let cap = self.inner.cfg.max_backoff.as_micros().max(base);
-        let wait = base.saturating_mul(1u64 << attempt.min(16)).min(cap);
-        let us = self.inner.sim.with_rng(|r| r.range(wait / 2, wait + 1));
-        SimDuration::from_micros(us)
+        let cfg = &self.inner.cfg;
+        backoff(cfg.base_backoff, cfg.max_backoff, attempt, &self.inner.sim)
     }
 
     fn try_connect(&self) {

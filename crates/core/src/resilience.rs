@@ -4,10 +4,12 @@
 //! segments drop frames, gateways crash, the access network partitions.
 //! This module holds the *policy* half of the gateway's answer: how
 //! long an invocation may take end to end ([`ResiliencePolicy::deadline`]),
-//! how re-sends are paced ([`ResiliencePolicy::backoff`]), and when a
-//! remote gateway is declared unhealthy and calls fail fast instead of
-//! burning the deadline ([`CircuitBreaker`]). The *mechanism* half —
-//! the retry loop that consults these — lives in `Vsg::invoke`.
+//! how re-sends are paced (`backoff`, shared with the cloud bridge's
+//! reconnects), and when a remote gateway is declared unhealthy and
+//! calls fail fast instead of burning the deadline ([`CircuitBreaker`]).
+//! The *mechanism* half — the one retry loop that consults these — is
+//! `Vsg::resilient`, shared by single calls, batch frames and batched
+//! event notifications.
 //!
 //! Everything is computed on virtual time and the simulation's seeded
 //! RNG, so a chaos schedule replays identically run after run.
@@ -39,9 +41,6 @@ pub struct ResiliencePolicy {
     pub base_backoff: SimDuration,
     /// Cap on any single backoff wait.
     pub max_backoff: SimDuration,
-    /// Jitter each wait over `[wait/2, wait]`, drawn from the seeded
-    /// simulation RNG (decorrelates replicas without losing replay).
-    pub jitter: bool,
     /// Consecutive transport failures that open a remote gateway's
     /// breaker.
     pub breaker_threshold: u32,
@@ -61,7 +60,6 @@ impl Default for ResiliencePolicy {
             max_retries: 8,
             base_backoff: SimDuration::from_millis(50),
             max_backoff: SimDuration::from_millis(800),
-            jitter: true,
             breaker_threshold: 5,
             breaker_open_window: SimDuration::from_secs(5),
             degraded_reads: true,
@@ -79,26 +77,21 @@ impl ResiliencePolicy {
             ..ResiliencePolicy::default()
         }
     }
+}
 
-    /// The wait before retry number `attempt` (0-based): exponential
-    /// from [`Self::base_backoff`], capped at [`Self::max_backoff`],
-    /// jittered over `[wait/2, wait]` when [`Self::jitter`] is on. The
-    /// draw comes from the simulation's seeded RNG, so a given seed
-    /// yields the same pacing every run.
-    pub fn backoff(&self, attempt: u32, sim: &Sim) -> SimDuration {
-        let base = self.base_backoff.as_micros();
-        let cap = self.max_backoff.as_micros().max(base);
-        let wait = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        if wait == 0 {
-            return SimDuration::ZERO;
-        }
-        let us = if self.jitter {
-            sim.with_rng(|r| r.range(wait / 2, wait + 1))
-        } else {
-            wait
-        };
-        SimDuration::from_micros(us)
+/// The wait before retry number `attempt` (0-based): exponential from
+/// `base`, capped at `cap`, jittered over `[wait/2, wait]`. The draw
+/// comes from the simulation's seeded RNG, so a given seed yields the
+/// same pacing every run while replicas stay decorrelated; a zero wait
+/// draws nothing.
+pub(crate) fn backoff(base: SimDuration, cap: SimDuration, attempt: u32, sim: &Sim) -> SimDuration {
+    let base = base.as_micros();
+    let cap = cap.as_micros().max(base);
+    let wait = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
+    if wait == 0 {
+        return SimDuration::ZERO;
     }
+    SimDuration::from_micros(sim.with_rng(|r| r.range(wait / 2, wait + 1)))
 }
 
 /// Where a remote gateway's circuit breaker stands.
@@ -299,25 +292,21 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters_deterministically() {
-        let p = ResiliencePolicy {
-            jitter: false,
-            ..ResiliencePolicy::default()
-        };
-        let sim = Sim::new(7);
-        assert_eq!(p.backoff(0, &sim), SimDuration::from_millis(50));
-        assert_eq!(p.backoff(1, &sim), SimDuration::from_millis(100));
-        assert_eq!(p.backoff(2, &sim), SimDuration::from_millis(200));
-        assert_eq!(p.backoff(10, &sim), SimDuration::from_millis(800), "capped");
-
-        let jittered = ResiliencePolicy::default();
+        let p = ResiliencePolicy::default();
         let a = Sim::new(42);
         let b = Sim::new(42);
-        for attempt in 0..4 {
-            let wa = jittered.backoff(attempt, &a);
-            let wb = jittered.backoff(attempt, &b);
+        // The exact doubling-and-cap value: 50, 100, 200, 400 ms, then
+        // capped at 800 ms.
+        for (attempt, full_ms) in [(0, 50), (1, 100), (2, 200), (3, 400), (4, 800), (10, 800)] {
+            let wa = backoff(p.base_backoff, p.max_backoff, attempt, &a);
+            let wb = backoff(p.base_backoff, p.max_backoff, attempt, &b);
             assert_eq!(wa, wb, "same seed, same pacing");
-            let full = p.backoff(attempt, &a).as_micros();
-            assert!(wa.as_micros() >= full / 2 && wa.as_micros() <= full);
+            let full = SimDuration::from_millis(full_ms).as_micros();
+            assert!(
+                wa.as_micros() >= full / 2 && wa.as_micros() <= full,
+                "attempt {attempt}: {wa} outside [{}, {full}] us",
+                full / 2
+            );
         }
     }
 

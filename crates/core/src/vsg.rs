@@ -13,7 +13,7 @@ use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
 use crate::obs::Layer;
 use crate::protocol::{VsgProtocol, VsgRequest};
 use crate::rescache::{Lookup, ResolutionCache};
-use crate::resilience::{BreakerState, CircuitBreaker, ResiliencePolicy};
+use crate::resilience::{backoff, BreakerState, CircuitBreaker, ResiliencePolicy};
 use crate::service::{ServiceInvoker, VirtualService};
 use crate::trace::{HopKind, Tracer};
 use crate::vsr::{ServiceRecord, VsrClient};
@@ -281,7 +281,9 @@ impl Vsg {
                 args,
             )
         } else {
-            self.invoke_remote(sim, service, operation, args, policy)
+            let mut req = VsgRequest::new(service, operation);
+            req.args = args.to_vec();
+            self.invoke_remote(sim, req, None, policy)
         };
         let elapsed_us = (sim.now() - started).as_micros();
         self.inner.metrics.record_with_exemplar(
@@ -320,162 +322,52 @@ impl Vsg {
     /// [`BatchPolicy::max_batch`]), and returns one result per item in
     /// item order.
     ///
-    /// Semantics match per-item [`Vsg::invoke`]: local members dispatch
-    /// directly, application faults stay per member, and order is
-    /// preserved per peer. A whole-frame transport failure is applied
-    /// to every member of that frame; a lost frame containing any
-    /// non-idempotent member is never re-sent (the no-double-invoke
+    /// Semantics match per-item [`Vsg::invoke`], because members take
+    /// the same route resolver, retry loop and wire exchange: local
+    /// members dispatch directly, application faults stay per member,
+    /// order is preserved per peer, a member whose cached route turns
+    /// out stale is re-resolved and re-sent once, and a VSR outage
+    /// falls back to degraded reads. A whole-frame transport failure is
+    /// applied to every member of that frame; a lost frame containing
+    /// any non-idempotent member is never re-sent (the no-double-invoke
     /// guarantee extends to batches). Members beyond
     /// [`BatchPolicy::max_queue`] for one peer are rejected with
     /// [`MetaError::Overloaded`] — backpressure, not silent queueing.
     /// With batching disabled every item takes the ordinary unbatched
     /// path, one wire exchange each.
     pub fn invoke_batch(&self, sim: &Sim, items: &[BatchItem]) -> Vec<Result<Value, MetaError>> {
-        let policy = self.inner.batching.lock().clone();
-        if !policy.enabled {
-            return items
-                .iter()
-                .map(|item| self.invoke_item_unbatched(sim, item))
-                .collect();
+        let batching = self.inner.batching.lock().clone();
+        if !batching.enabled {
+            // One wire exchange per item: calls through `invoke`, remote
+            // events as single event-operation frames.
+            let unbatched = |item: &BatchItem| match item {
+                BatchItem::Call(call) => {
+                    self.invoke(sim, &call.service, &call.operation, &call.args)
+                }
+                BatchItem::Event { .. } => {
+                    let (req, idempotent) = member_request(item);
+                    self.serve_in_place(sim, &req)
+                        .unwrap_or_else(|| self.invoke_remote(sim, req, idempotent, None))
+                }
+            };
+            return items.iter().map(unbatched).collect();
         }
         let started = sim.now();
         let tracer = &self.inner.tracer;
         let root = tracer.begin(sim, HopKind::ClientProxy, || {
             format!("batch[{}]", items.len())
         });
+        let policy = self.inner.resilience.lock().clone();
         let mut results: Vec<Option<Result<Value, MetaError>>> =
             (0..items.len()).map(|_| None).collect();
-
-        // Members bound for one remote gateway, queued in submission
-        // order (kept as parallel vectors so a chunk of requests can be
-        // borrowed mutably for the wire without cloning).
-        struct PeerQueue {
-            gw_node: NodeId,
-            gateway: String,
-            indices: Vec<usize>,
-            reqs: Vec<VsgRequest>,
-            idempotent: Vec<bool>,
-        }
-        let mut peers: Vec<PeerQueue> = Vec::new();
-
-        for (i, item) in items.iter().enumerate() {
-            let (service, req, declared_idempotent) = match item {
-                BatchItem::Call(call) => {
-                    if self.inner.local.lock().contains_key(&call.service) {
-                        // No wire to coalesce for: dispatch in place.
-                        let r = dispatch_local(
-                            &self.inner.local,
-                            tracer,
-                            &self.inner.metrics,
-                            sim,
-                            &call.service,
-                            &call.operation,
-                            &call.args,
-                        );
-                        self.record_member(sim, &call.service, started, &r);
-                        results[i] = Some(r);
-                        continue;
-                    }
-                    let mut req = VsgRequest::new(&call.service, &call.operation);
-                    req.args = call.args.clone();
-                    (call.service.as_str(), req, None)
-                }
-                BatchItem::Event { service, event } => {
-                    if self.inner.local.lock().contains_key(service) {
-                        if let Some(sink) = self.inner.event_sink.lock().as_mut() {
-                            sink(sim, service, event);
-                        }
-                        let r = Ok(Value::Null);
-                        self.record_member(sim, service, started, &r);
-                        results[i] = Some(r);
-                        continue;
-                    }
-                    let req =
-                        VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone());
-                    // A duplicated notification is tolerable; a dropped
-                    // one is not — events never block a frame re-send.
-                    (service.as_str(), req, Some(true))
-                }
-            };
-            let (record, gw_node) = match self.resolve_route(service) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    let r = Err(e);
-                    self.record_member(sim, service, started, &r);
-                    results[i] = Some(r);
-                    continue;
-                }
-            };
-            let idempotent =
-                declared_idempotent.unwrap_or_else(|| op_is_idempotent(&record, &req.operation));
-            let pidx = peers
-                .iter()
-                .position(|p| p.gw_node == gw_node)
-                .unwrap_or_else(|| {
-                    peers.push(PeerQueue {
-                        gw_node,
-                        gateway: record.gateway.clone(),
-                        indices: Vec::new(),
-                        reqs: Vec::new(),
-                        idempotent: Vec::new(),
-                    });
-                    peers.len() - 1
-                });
-            let peer = &mut peers[pidx];
-            if peer.reqs.len() >= policy.max_queue {
-                let r = Err(MetaError::Overloaded {
-                    gateway: peer.gateway.clone(),
-                    queued: peer.reqs.len() as u64,
-                });
-                self.record_member(sim, service, started, &r);
-                results[i] = Some(r);
-                continue;
-            }
-            peer.indices.push(i);
-            peer.reqs.push(req);
-            peer.idempotent.push(idempotent);
-        }
-
-        for mut peer in peers {
-            let n = peer.reqs.len();
-            let mut start = 0;
-            while start < n {
-                let end = (start + policy.max_batch).min(n);
-                // Everything queued behind earlier frames to this (or
-                // another) peer waited from submission until now — the
-                // coalescing delay the queue-wait histogram exposes.
-                let wait_us = sim.now().since(started).as_micros();
-                for _ in start..end {
-                    self.inner.metrics.record_queue_wait(wait_us);
-                }
-                let all_idempotent = peer.idempotent[start..end].iter().all(|b| *b);
-                let outcome = self.resilient_batch_call(
-                    sim,
-                    peer.gw_node,
-                    &peer.gateway,
-                    &mut peer.reqs[start..end],
-                    all_idempotent,
-                    started,
-                );
-                match outcome {
-                    Ok(rs) => {
-                        for (k, r) in rs.into_iter().enumerate() {
-                            self.record_member(sim, &peer.reqs[start + k].service, started, &r);
-                            results[peer.indices[start + k]] = Some(r);
-                        }
-                    }
-                    Err(e) => {
-                        for k in start..end {
-                            let r = Err(e.clone());
-                            self.record_member(sim, &peer.reqs[k].service, started, &r);
-                            results[peer.indices[k]] = Some(r);
-                        }
-                    }
-                }
-                start = end;
-            }
-        }
-
+        let round = BatchRound {
+            items,
+            batching: &batching,
+            policy: &policy,
+            started,
+        };
+        let resend = self.batch_round(sim, &round, 0..items.len(), &mut results, false);
+        self.batch_round(sim, &round, resend.into_iter(), &mut results, true);
         tracer.end(sim, root);
         results
             .into_iter()
@@ -483,299 +375,257 @@ impl Vsg {
             .collect()
     }
 
-    /// The unbatched fallback for one batch item: calls route through
-    /// [`Vsg::invoke`]; events go out as single event-operation frames.
-    fn invoke_item_unbatched(&self, sim: &Sim, item: &BatchItem) -> Result<Value, MetaError> {
-        match item {
-            BatchItem::Call(call) => self.invoke(sim, &call.service, &call.operation, &call.args),
-            BatchItem::Event { service, event } => {
-                if self.inner.local.lock().contains_key(service) {
-                    if let Some(sink) = self.inner.event_sink.lock().as_mut() {
-                        sink(sim, service, event);
-                    }
-                    return Ok(Value::Null);
-                }
-                let (record, gw_node) = self.resolve_route(service)?;
-                let mut req =
-                    VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone());
-                let policy = self.inner.resilience.lock().clone();
-                self.resilient_wire_call(
-                    sim,
-                    gw_node,
-                    &record.gateway,
-                    &mut req,
-                    true,
-                    sim.now(),
-                    &policy,
-                )
-            }
-        }
-    }
-
-    /// Records one batch member in the invocation metrics, mirroring
-    /// what [`Vsg::invoke`] records per call.
-    fn record_member(
+    /// One pass over batch `members`: local members dispatch in place;
+    /// the rest are routed, queued per remote gateway in submission
+    /// order, and flushed as frames. Unless this is the `last` pass, a
+    /// member whose cached route a failure settled as stale is returned
+    /// for a re-send instead of landing in `results`.
+    fn batch_round(
         &self,
         sim: &Sim,
-        service: &str,
-        started: SimTime,
-        result: &Result<Value, MetaError>,
-    ) {
-        let elapsed_us = (sim.now() - started).as_micros();
-        self.inner.metrics.record(
-            service,
-            elapsed_us,
-            result.as_ref().err().map(MetaError::kind),
-        );
-    }
+        round: &BatchRound<'_>,
+        members: impl Iterator<Item = usize>,
+        results: &mut [Option<Result<Value, MetaError>>],
+        last: bool,
+    ) -> Vec<usize> {
+        // Members bound for one remote gateway, queued in submission
+        // order (kept as parallel vectors so a chunk of requests can be
+        // borrowed mutably for the wire without cloning).
+        struct PeerQueue {
+            gw_node: NodeId,
+            gateway: String,
+            members: Vec<(usize, Route)>,
+            reqs: Vec<VsgRequest>,
+            idempotent: Vec<bool>,
+        }
+        let mut peers: Vec<PeerQueue> = Vec::new();
+        let mut resend = Vec::new();
+        // Records a member's outcome in the invocation metrics as
+        // `invoke` records a call's.
+        let mut finish = |i: usize, service: &str, r: Result<Value, MetaError>| {
+            let elapsed_us = (sim.now() - round.started).as_micros();
+            let kind = r.as_ref().err().map(MetaError::kind);
+            self.inner.metrics.record(service, elapsed_us, kind);
+            results[i] = Some(r);
+        };
 
-    /// Resolves `service` to its record and serving gateway node via
-    /// the cache, falling back to the VSR (and filling the cache, both
-    /// positively and negatively) — the route half of
-    /// [`Vsg::invoke_remote`] without the call.
-    fn resolve_route(&self, service: &str) -> Result<(ServiceRecord, NodeId), MetaError> {
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        match looked_up {
-            Lookup::Hit(record, gw_node) => return Ok((record, gw_node)),
-            Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
-            Lookup::Miss => {}
-        }
-        match self.inner.vsr.resolve(service) {
-            Ok(record) => {
-                let gw_node = self
-                    .inner
-                    .vsr
-                    .gateway_node(&record.gateway)
-                    .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record.clone(), gw_node);
-                Ok((record, gw_node))
+        for i in members {
+            let (req, declared_idempotent) = member_request(&round.items[i]);
+            if let Some(r) = self.serve_in_place(sim, &req) {
+                finish(i, &req.service, r);
+                continue;
             }
-            Err(MetaError::UnknownService(name)) => {
-                self.inner.rescache.lock().insert_negative(service);
-                Err(MetaError::UnknownService(name))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// One logical batch wire call under the resilience policy — the
-    /// batch twin of [`Vsg::resilient_wire_call`]. The retry gate is
-    /// collective: an ambiguous frame loss is re-sent only when *every*
-    /// member is idempotent, because the remote may have executed all
-    /// of them.
-    fn resilient_batch_call(
-        &self,
-        sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
-        reqs: &mut [VsgRequest],
-        all_idempotent: bool,
-        started: SimTime,
-    ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
-        let policy = self.inner.resilience.lock().clone();
-        if !policy.enabled {
-            return self.wire_batch_call(sim, gw_node, gateway, reqs);
-        }
-        if !self.breaker_admit(sim, gateway, &policy) {
-            self.note_resilience(sim, || format!("breaker open: fail fast to {gateway}"));
-            return Err(MetaError::CircuitOpen {
-                gateway: gateway.to_owned(),
-            });
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            let result = self.wire_batch_call(sim, gw_node, gateway, reqs);
-            let err = match result {
-                Ok(rs) => {
-                    self.breaker_success(sim, gateway);
-                    return Ok(rs);
-                }
-                Err(e) if e.is_transport_failure() => {
-                    self.breaker_failure(sim, gateway);
-                    e
-                }
+            // Cached at once, so the batch's later members for this
+            // service reuse the route.
+            let route = match self.cached_route(sim, &req.service, round.policy) {
+                Ok(route) => route,
                 Err(e) => {
-                    self.breaker_success(sim, gateway);
-                    return Err(e);
+                    finish(i, &req.service, Err(e));
+                    continue;
                 }
             };
-            if !(all_idempotent || err.is_retry_safe()) {
-                return Err(err);
-            }
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            let waited = sim.now().since(started);
-            let mut wait = policy.backoff(attempt, sim);
-            if waited + wait >= policy.deadline {
-                if waited >= policy.deadline {
-                    return Err(MetaError::DeadlineExceeded {
-                        service: reqs
-                            .first()
-                            .map(|r| r.service.to_string())
-                            .unwrap_or_default(),
-                        waited_ms: waited.as_millis(),
+            let idempotent = declared_idempotent
+                .unwrap_or_else(|| op_is_idempotent(&route.record, &req.operation));
+            let pidx = peers
+                .iter()
+                .position(|p| p.gw_node == route.gw_node)
+                .unwrap_or_else(|| {
+                    peers.push(PeerQueue {
+                        gw_node: route.gw_node,
+                        gateway: route.record.gateway.clone(),
+                        members: Vec::new(),
+                        reqs: Vec::new(),
+                        idempotent: Vec::new(),
                     });
-                }
-                wait = SimDuration::from_micros(policy.deadline.as_micros() - waited.as_micros());
+                    peers.len() - 1
+                });
+            let peer = &mut peers[pidx];
+            if peer.reqs.len() >= round.batching.max_queue {
+                let r = Err(MetaError::Overloaded {
+                    gateway: peer.gateway.clone(),
+                    queued: peer.reqs.len() as u64,
+                });
+                finish(i, &req.service, r);
+                continue;
             }
-            attempt += 1;
-            self.inner.metrics.record_retry();
-            self.note_resilience(sim, || {
-                format!(
-                    "retry {attempt} (batch of {}) to {gateway} after {wait} ({err})",
-                    reqs.len()
-                )
-            });
-            sim.advance(wait);
+            peer.members.push((i, route));
+            peer.reqs.push(req);
+            peer.idempotent.push(idempotent);
         }
-    }
 
-    /// One batch frame exchange under a `vsg-wire` span. The frame span
-    /// carries no bytes itself; per-member child spans subdivide the
-    /// frame's byte delta (remainder on the first member), so summing
-    /// wire bytes across spans stays honest.
-    fn wire_batch_call(
-        &self,
-        sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
-        reqs: &mut [VsgRequest],
-    ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
-        let tracer = &self.inner.tracer;
-        let traced = tracer.is_enabled();
-        let span = tracer.begin(sim, HopKind::VsgWire, || {
-            format!(
-                "batch of {} via {} to {gateway}",
-                reqs.len(),
-                self.inner.protocol.name()
-            )
-        });
-        let ctx = tracer.current_context();
-        for req in reqs.iter_mut() {
-            req.trace = ctx;
-        }
-        let bytes_before = if traced {
-            self.inner.backbone.with_stats(|s| s.total().bytes)
-        } else {
-            0
-        };
-        let wire_started = sim.now();
-        let result =
-            self.inner
-                .protocol
-                .call_batch(&self.inner.backbone, self.inner.node, gw_node, reqs);
-        self.inner.metrics.record_layer_with_exemplar(
-            Layer::Wire,
-            (sim.now() - wire_started).as_micros(),
-            span.trace_id(),
-        );
-        if traced {
-            let bytes = self
-                .inner
-                .backbone
-                .with_stats(|s| s.total().bytes)
-                .saturating_sub(bytes_before);
-            match &result {
-                Ok(members) if !reqs.is_empty() => {
-                    let share = bytes / reqs.len() as u64;
-                    let remainder = bytes - share * reqs.len() as u64;
-                    for (k, (req, r)) in reqs.iter().zip(members).enumerate() {
-                        let mspan = tracer.begin(sim, HopKind::VsgWire, || {
-                            format!("member {}.{}", req.service, req.operation)
-                        });
-                        let b = share + if k == 0 { remainder } else { 0 };
-                        tracer.end_with(sim, mspan, b, r.as_ref().err().map(|e| e.to_string()));
-                    }
-                    tracer.end_with(sim, span, 0, None);
+        for mut peer in peers {
+            let n = peer.reqs.len();
+            let mut members = peer.members.into_iter();
+            let mut start = 0;
+            while start < n {
+                let end = (start + round.batching.max_batch).min(n);
+                // Everything queued behind earlier frames to this (or
+                // another) peer waited from submission until now — the
+                // coalescing delay the queue-wait histogram exposes.
+                let wait_us = sim.now().since(round.started).as_micros();
+                for _ in start..end {
+                    self.inner.metrics.record_queue_wait(wait_us);
                 }
-                _ => {
-                    tracer.end_with(
+                // The retry gate is collective: an ambiguous frame loss
+                // is re-sent only when *every* member is idempotent,
+                // because the remote may have executed all of them.
+                let all_idempotent = peer.idempotent[start..end].iter().all(|b| *b);
+                let (gw_node, gateway) = (peer.gw_node, peer.gateway.as_str());
+                let mut answers = self
+                    .resilient(
                         sim,
-                        span,
-                        bytes,
-                        result.as_ref().err().map(|e| e.to_string()),
-                    );
+                        gateway,
+                        &mut peer.reqs[start..end],
+                        all_idempotent,
+                        round.started,
+                        round.policy,
+                        |reqs| self.send_batch(sim, gw_node, gateway, reqs),
+                    )
+                    .map(Vec::into_iter);
+                let frame = members.by_ref().take(end - start);
+                for (req, (i, route)) in peer.reqs[start..end].iter().zip(frame) {
+                    let r = match &mut answers {
+                        Ok(rs) => match rs.next() {
+                            Some(r) => r,
+                            None => continue,
+                        },
+                        // A whole-frame failure is every member's.
+                        Err(e) => Err(e.clone()),
+                    };
+                    if self.settle(&req.service, route, &r) && !last {
+                        resend.push(i);
+                    } else {
+                        finish(i, &req.service, r);
+                    }
                 }
+                start = end;
             }
-        } else {
-            tracer.end(sim, span);
         }
-        result
+        resend
     }
 
+    /// Serves `req` here when this gateway fronts its service — no wire
+    /// to coalesce for; `None` when the service lives elsewhere.
+    fn serve_in_place(&self, sim: &Sim, req: &VsgRequest) -> Option<Result<Value, MetaError>> {
+        let inner = &self.inner;
+        if !inner.local.lock().contains_key(&*req.service) {
+            return None;
+        }
+        let (local, sink) = (&inner.local, &inner.event_sink);
+        Some(serve_local(
+            local,
+            sink,
+            &inner.tracer,
+            &inner.metrics,
+            sim,
+            req,
+        ))
+    }
+
+    // ---- the remote-call path: one resolver, one retry loop, one wire ----
+
+    /// One remote call: resolves the route, runs the resilient exchange
+    /// over it, and settles the route by the outcome — a retry-safe
+    /// failure over a cached route is re-resolved and re-sent once.
+    /// `idempotent` overrides the record's declaration (events are
+    /// always idempotent); `policy` overrides the gateway's. The
+    /// deadline spans everything: cached attempt, re-resolution,
+    /// retries and backoff waits.
     fn invoke_remote(
         &self,
         sim: &Sim,
-        service: &str,
-        operation: &str,
-        args: &[(String, Value)],
-        policy_override: Option<&ResiliencePolicy>,
+        mut req: VsgRequest,
+        idempotent: Option<bool>,
+        policy: Option<&ResiliencePolicy>,
     ) -> Result<Value, MetaError> {
-        let mut req = VsgRequest::new(service, operation);
-        req.args = args.to_vec();
-        // The invocation's deadline spans everything that follows:
-        // cached attempt, re-resolution, retries, and backoff waits.
         let started = sim.now();
-        let policy = policy_override
+        let policy = policy
             .cloned()
             .unwrap_or_else(|| self.inner.resilience.lock().clone());
-
-        // Fast path: a warm cache entry carries the full record and the
-        // serving gateway's node — zero VSR round trips. (Bound to a
-        // local so the cache guard is released before the network call.)
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        let looked_up_label = looked_up.label();
-        match looked_up {
-            Lookup::Hit(record, gw_node) => {
-                self.note_cache(sim, looked_up_label, service);
-                let idempotent = op_is_idempotent(&record, operation);
-                match self.resilient_wire_call(
-                    sim,
-                    gw_node,
-                    &record.gateway,
-                    &mut req,
-                    idempotent,
-                    started,
-                    &policy,
-                ) {
-                    Ok(v) => return Ok(v),
-                    // Only errors that guarantee the operation did not
-                    // execute (gateway gone, stale route) may evict and
-                    // retry over a fresh resolution. An application
-                    // fault means the remote side processed the call:
-                    // re-invoking could double-apply a non-idempotent
-                    // operation, so it propagates as-is.
-                    Err(e) if e.is_retry_safe() => {
-                        self.inner.rescache.lock().invalidate(service);
-                    }
-                    Err(e) => return Err(e),
-                }
+        let mut use_cache = true;
+        loop {
+            let route = self.route(sim, &req.service, use_cache, &policy)?;
+            let idempotent =
+                idempotent.unwrap_or_else(|| op_is_idempotent(&route.record, &req.operation));
+            let (gw_node, gateway) = (route.gw_node, route.record.gateway.as_str());
+            let result = self.resilient(
+                sim,
+                gateway,
+                std::slice::from_mut(&mut req),
+                idempotent,
+                started,
+                &policy,
+                |reqs| self.send_one(sim, gw_node, gateway, reqs),
+            );
+            if !self.settle(&req.service, route, &result) {
+                return result;
             }
-            Lookup::NegativeHit => {
-                self.note_cache(sim, looked_up_label, service);
-                return Err(MetaError::UnknownService(service.to_owned()));
-            }
-            Lookup::Miss => {}
+            use_cache = false;
         }
+    }
 
-        // Slow path: resolve via the VSR and fill the cache.
+    /// The one route resolver. With `use_cache`, a warm cache entry
+    /// carries the full record and the serving gateway's node — zero
+    /// VSR round trips — and a negative entry answers "unknown" at
+    /// once. Otherwise the VSR resolves the record and the serving
+    /// gateway's node; a definitive "no such service" is cached
+    /// negatively. When the VSR itself is unreachable and `policy`
+    /// allows degraded reads, a stale (previously invalidated) route
+    /// beats failing the call — §3.1's backbone still works even when
+    /// discovery is down. Fresh routes are not cached here: each caller
+    /// caches by its own rule (see [`Vsg::settle`]).
+    fn route(
+        &self,
+        sim: &Sim,
+        service: &str,
+        use_cache: bool,
+        policy: &ResiliencePolicy,
+    ) -> Result<Route, MetaError> {
+        if use_cache {
+            // Bound to a local so the cache guard is released before
+            // any network call.
+            let looked_up = self.inner.rescache.lock().lookup(service);
+            let label = looked_up.label();
+            match looked_up {
+                Lookup::Hit(record, gw_node) => {
+                    self.note_cache(sim, label, service);
+                    return Ok(Route {
+                        record,
+                        gw_node,
+                        source: RouteSource::Cached,
+                    });
+                }
+                Lookup::NegativeHit => {
+                    self.note_cache(sim, label, service);
+                    return Err(MetaError::UnknownService(service.to_owned()));
+                }
+                Lookup::Miss => {}
+            }
+        }
         let record = match self.inner.vsr.resolve(service) {
-            Ok(r) => r,
+            Ok(record) => record,
             Err(MetaError::UnknownService(name)) => {
                 // Definitive answer from the repository — cacheable.
                 self.inner.rescache.lock().insert_negative(service);
                 return Err(MetaError::UnknownService(name));
             }
-            // The VSR itself is unreachable. Degraded mode: a stale
-            // (previously invalidated) route beats failing the call —
-            // §3.1's backbone still works even when discovery is down.
-            Err(e) if e.is_transport_failure() => {
-                return self
-                    .invoke_degraded(sim, service, operation, &mut req, started, e, &policy);
+            Err(e) if e.is_transport_failure() && policy.enabled && policy.degraded_reads => {
+                let Some((record, gw_node)) = self.inner.rescache.lock().stale_lookup(service)
+                else {
+                    return Err(e);
+                };
+                self.inner.metrics.record_degraded_serve();
+                self.note_resilience(sim, || {
+                    format!(
+                        "degraded: VSR down, stale route for {service} via {}",
+                        record.gateway
+                    )
+                });
+                return Ok(Route {
+                    record,
+                    gw_node,
+                    source: RouteSource::Stale,
+                });
             }
             Err(e) => return Err(e),
         };
@@ -784,105 +634,87 @@ impl Vsg {
             .vsr
             .gateway_node(&record.gateway)
             .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
-        let idempotent = op_is_idempotent(&record, operation);
-        let result = self.resilient_wire_call(
-            sim,
+        Ok(Route {
+            record,
             gw_node,
-            &record.gateway,
-            &mut req,
-            idempotent,
-            started,
-            &policy,
-        );
-        // Cache the resolution unless the call failed in a way that
-        // leaves the route in doubt (an application fault proves the
-        // remote gateway serves this record, so the route is good).
-        match &result {
-            Ok(_) => {
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record, gw_node);
-            }
-            Err(e) if !e.is_retry_safe() => {
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record, gw_node);
-            }
-            Err(_) => {}
-        }
-        result
+            source: RouteSource::Vsr,
+        })
     }
 
-    /// The VSR is down. If degraded reads are allowed and an
-    /// invalidated route survives in the cache, serve over it; a
-    /// success re-promotes the route to resolved. Otherwise the
-    /// original resolution error propagates.
-    #[allow(clippy::too_many_arguments)]
-    fn invoke_degraded(
+    /// [`Vsg::route`] through the cache, caching a fresh VSR route at
+    /// once instead of after the call — from then on it is a cached
+    /// route.
+    fn cached_route(
         &self,
         sim: &Sim,
         service: &str,
-        operation: &str,
-        req: &mut VsgRequest,
-        started: SimTime,
-        resolve_err: MetaError,
         policy: &ResiliencePolicy,
-    ) -> Result<Value, MetaError> {
-        if !(policy.enabled && policy.degraded_reads) {
-            return Err(resolve_err);
+    ) -> Result<Route, MetaError> {
+        let mut route = self.route(sim, service, true, policy)?;
+        if route.source == RouteSource::Vsr {
+            self.inner.rescache.lock().insert_resolved(
+                service,
+                route.record.clone(),
+                route.gw_node,
+            );
+            route.source = RouteSource::Cached;
         }
-        let Some((record, gw_node)) = self.inner.rescache.lock().stale_lookup(service) else {
-            return Err(resolve_err);
+        Ok(route)
+    }
+
+    /// Settles `route` by the outcome of a call over it, and says
+    /// whether the call earns one re-resolved re-send. Only an error
+    /// that guarantees the operation did not execute (gateway gone,
+    /// stale route) over a cached route invalidates it and asks for
+    /// the re-send; an application fault means the remote side
+    /// processed the call, and re-invoking could double-apply a
+    /// non-idempotent operation. A fresh VSR route is cached unless the
+    /// failure leaves it in doubt (an application fault proves the
+    /// remote gateway serves this record); a stale route is re-promoted
+    /// by a success.
+    fn settle(&self, service: &str, route: Route, result: &Result<Value, MetaError>) -> bool {
+        let retry_safe = matches!(result, Err(e) if e.is_retry_safe());
+        let promote = match route.source {
+            RouteSource::Cached => {
+                if retry_safe {
+                    self.inner.rescache.lock().invalidate(service);
+                }
+                return retry_safe;
+            }
+            RouteSource::Vsr => !retry_safe,
+            RouteSource::Stale => result.is_ok(),
         };
-        self.inner.metrics.record_degraded_serve();
-        self.note_resilience(sim, || {
-            format!(
-                "degraded: VSR down, stale route for {service} via {}",
-                record.gateway
-            )
-        });
-        let idempotent = op_is_idempotent(&record, operation);
-        let result = self.resilient_wire_call(
-            sim,
-            gw_node,
-            &record.gateway,
-            req,
-            idempotent,
-            started,
-            policy,
-        );
-        if result.is_ok() {
+        if promote {
             self.inner
                 .rescache
                 .lock()
-                .insert_resolved(service, record, gw_node);
+                .insert_resolved(service, route.record, route.gw_node);
         }
-        result
+        false
     }
 
-    /// One logical wire call under the resilience policy: circuit
-    /// breaker admission, then up to `1 + max_retries` attempts paced
-    /// by jittered exponential backoff, all bounded by the deadline.
-    /// Only transport failures are retried, and an ambiguous one (the
-    /// remote may have executed) is retried only when the operation is
-    /// idempotent — the no-double-invoke guarantee.
+    /// The one retry loop: runs `exchange` over `reqs` (one request or
+    /// one batch frame) to `gateway` under `policy` — circuit-breaker
+    /// admission, then up to `1 + max_retries` attempts paced by
+    /// jittered exponential backoff, all bounded by the deadline
+    /// counted from `started`. Only transport failures are retried, and
+    /// an ambiguous one (the remote may have executed) only when
+    /// `idempotent` — the no-double-invoke guarantee.
     #[allow(clippy::too_many_arguments)]
-    fn resilient_wire_call(
+    fn resilient<T>(
         &self,
         sim: &Sim,
-        gw_node: NodeId,
         gateway: &str,
-        req: &mut VsgRequest,
+        reqs: &mut [VsgRequest],
         idempotent: bool,
         started: SimTime,
         policy: &ResiliencePolicy,
-    ) -> Result<Value, MetaError> {
+        mut exchange: impl FnMut(&mut [VsgRequest]) -> Result<T, MetaError>,
+    ) -> Result<T, MetaError> {
         if !policy.enabled {
-            return self.wire_call(sim, gw_node, gateway, req);
+            return exchange(reqs);
         }
-        if !self.breaker_admit(sim, gateway, policy) {
+        if !self.with_breaker(sim, gateway, policy, |br| br.admit(sim.now())) {
             self.note_resilience(sim, || format!("breaker open: fail fast to {gateway}"));
             return Err(MetaError::CircuitOpen {
                 gateway: gateway.to_owned(),
@@ -890,38 +722,37 @@ impl Vsg {
         }
         let mut attempt: u32 = 0;
         loop {
-            let result = self.wire_call(sim, gw_node, gateway, req);
-            let err = match result {
+            let err = match exchange(reqs) {
                 Ok(v) => {
-                    self.breaker_success(sim, gateway);
+                    self.with_breaker(sim, gateway, policy, CircuitBreaker::on_success);
                     return Ok(v);
                 }
                 Err(e) if e.is_transport_failure() => {
-                    self.breaker_failure(sim, gateway);
+                    self.with_breaker(sim, gateway, policy, |br| br.on_failure(sim.now()));
                     e
                 }
                 // Any typed answer from the remote — an application
                 // fault, unknown service/operation, a type error —
                 // proves the gateway alive: the breaker sees success.
                 Err(e) => {
-                    self.breaker_success(sim, gateway);
+                    self.with_breaker(sim, gateway, policy, CircuitBreaker::on_success);
                     return Err(e);
                 }
             };
             // An ambiguous loss (the request may have executed) is only
             // re-sent when the operation tolerates double execution.
-            if !(idempotent || err.is_retry_safe()) {
-                return Err(err);
-            }
-            if attempt >= policy.max_retries {
+            if !(idempotent || err.is_retry_safe()) || attempt >= policy.max_retries {
                 return Err(err);
             }
             let waited = sim.now().since(started);
-            let mut wait = policy.backoff(attempt, sim);
+            let mut wait = backoff(policy.base_backoff, policy.max_backoff, attempt, sim);
             if waited + wait >= policy.deadline {
                 if waited >= policy.deadline {
                     return Err(MetaError::DeadlineExceeded {
-                        service: req.service.to_string(),
+                        service: reqs
+                            .first()
+                            .map(|r| r.service.to_string())
+                            .unwrap_or_default(),
                         waited_ms: waited.as_millis(),
                     });
                 }
@@ -941,22 +772,20 @@ impl Vsg {
 
     // ---- the per-remote-gateway circuit breaker --------------------------
 
-    /// Runs `f` on `gateway`'s breaker (created closed on first use)
-    /// and reports any state transition to metrics and the tracer.
+    /// Runs `f` on `gateway`'s breaker (created closed on first use,
+    /// with `policy`'s thresholds) and reports any state transition to
+    /// metrics and the tracer.
     fn with_breaker<T>(
         &self,
         sim: &Sim,
         gateway: &str,
-        policy: Option<&ResiliencePolicy>,
+        policy: &ResiliencePolicy,
         f: impl FnOnce(&mut CircuitBreaker) -> T,
     ) -> T {
         let (out, transition) = {
             let mut breakers = self.inner.breakers.lock();
             let br = breakers.entry(gateway.to_owned()).or_insert_with(|| {
-                let p = policy
-                    .cloned()
-                    .unwrap_or_else(|| self.inner.resilience.lock().clone());
-                CircuitBreaker::new(p.breaker_threshold, p.breaker_open_window)
+                CircuitBreaker::new(policy.breaker_threshold, policy.breaker_open_window)
             });
             let before = br.state();
             let out = f(br);
@@ -970,18 +799,6 @@ impl Vsg {
             self.note_resilience(sim, || format!("breaker {state} for {gateway}"));
         }
         out
-    }
-
-    fn breaker_admit(&self, sim: &Sim, gateway: &str, policy: &ResiliencePolicy) -> bool {
-        self.with_breaker(sim, gateway, Some(policy), |br| br.admit(sim.now()))
-    }
-
-    fn breaker_success(&self, sim: &Sim, gateway: &str) {
-        self.with_breaker(sim, gateway, None, |br| br.on_success());
-    }
-
-    fn breaker_failure(&self, sim: &Sim, gateway: &str) {
-        self.with_breaker(sim, gateway, None, |br| br.on_failure(sim.now()));
     }
 
     /// Records an instant `resilience` span (retry, breaker transition,
@@ -1001,54 +818,107 @@ impl Vsg {
         self.inner.tracer.end(sim, span);
     }
 
-    /// One gateway-to-gateway protocol call under a `vsg-wire` span.
-    /// The span's context rides the wire (SOAP header / SIP header /
+    /// The one traced wire exchange: a `vsg-wire` span named by `label`
+    /// whose context rides every request (SOAP header / SIP header /
     /// binary tagged field) so the serving gateway's spans join this
-    /// trace; the span is charged the backbone bytes the exchange moved.
-    fn wire_call(
+    /// trace, the `Layer::Wire` sketch, and the backbone bytes the
+    /// exchange moved — charged to the span, less what `split` hands to
+    /// per-member spans on success.
+    fn wire_exchange<T>(
         &self,
         sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
-        req: &mut VsgRequest,
-    ) -> Result<Value, MetaError> {
+        label: impl FnOnce() -> String,
+        reqs: &mut [VsgRequest],
+        send: impl FnOnce(&[VsgRequest]) -> Result<T, MetaError>,
+        split: impl FnOnce(&[VsgRequest], &T, u64) -> u64,
+    ) -> Result<T, MetaError> {
         let tracer = &self.inner.tracer;
-        let traced = tracer.is_enabled();
-        let span = tracer.begin(sim, HopKind::VsgWire, || {
-            format!("{} to {gateway}", self.inner.protocol.name())
-        });
-        req.trace = tracer.current_context();
-        let bytes_before = if traced {
-            self.inner.backbone.with_stats(|s| s.total().bytes)
-        } else {
-            0
-        };
+        let span = tracer.begin(sim, HopKind::VsgWire, label);
+        let ctx = tracer.current_context();
+        for req in reqs.iter_mut() {
+            req.trace = ctx;
+        }
+        let total_bytes = || self.inner.backbone.with_stats(|s| s.total().bytes);
+        let bytes_before = if span.is_live() { total_bytes() } else { 0 };
         let wire_started = sim.now();
-        let result = self
-            .inner
-            .protocol
-            .call(&self.inner.backbone, self.inner.node, gw_node, req);
+        let result = send(reqs);
         self.inner.metrics.record_layer_with_exemplar(
             Layer::Wire,
             (sim.now() - wire_started).as_micros(),
             span.trace_id(),
         );
-        if traced {
-            let bytes = self
-                .inner
-                .backbone
-                .with_stats(|s| s.total().bytes)
-                .saturating_sub(bytes_before);
-            tracer.end_with(
-                sim,
-                span,
-                bytes,
-                result.as_ref().err().map(|e| e.to_string()),
-            );
-        } else {
-            tracer.end_result(sim, span, &result);
+        if span.is_live() {
+            let bytes = total_bytes().saturating_sub(bytes_before);
+            let own = match &result {
+                Ok(answer) => split(reqs, answer, bytes),
+                Err(_) => bytes,
+            };
+            tracer.end_with(sim, span, own, result.as_ref().err().map(|e| e.to_string()));
         }
         result
+    }
+
+    /// A single-request frame to the gateway at `gw_node`.
+    fn send_one(
+        &self,
+        sim: &Sim,
+        gw_node: NodeId,
+        gateway: &str,
+        reqs: &mut [VsgRequest],
+    ) -> Result<Value, MetaError> {
+        let inner = &self.inner;
+        self.wire_exchange(
+            sim,
+            || format!("{} to {gateway}", inner.protocol.name()),
+            reqs,
+            |reqs| {
+                inner
+                    .protocol
+                    .call(&inner.backbone, inner.node, gw_node, &reqs[0])
+            },
+            |_, _, bytes| bytes,
+        )
+    }
+
+    /// A batch frame to the gateway at `gw_node`. The frame span
+    /// carries no bytes itself; per-member child spans subdivide the
+    /// frame's byte delta (remainder on the first member), so summing
+    /// wire bytes across spans stays honest.
+    fn send_batch(
+        &self,
+        sim: &Sim,
+        gw_node: NodeId,
+        gateway: &str,
+        reqs: &mut [VsgRequest],
+    ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
+        let inner = &self.inner;
+        let n = reqs.len();
+        self.wire_exchange(
+            sim,
+            || format!("batch of {n} via {} to {gateway}", inner.protocol.name()),
+            reqs,
+            |reqs| {
+                inner
+                    .protocol
+                    .call_batch(&inner.backbone, inner.node, gw_node, reqs)
+            },
+            |reqs, members, bytes| {
+                if reqs.is_empty() {
+                    return bytes;
+                }
+                let share = bytes / n as u64;
+                let remainder = bytes - share * n as u64;
+                for (k, (req, r)) in reqs.iter().zip(members).enumerate() {
+                    let span = inner.tracer.begin(sim, HopKind::VsgWire, || {
+                        format!("member {}.{}", req.service, req.operation)
+                    });
+                    let b = share + if k == 0 { remainder } else { 0 };
+                    let error = r.as_ref().err().map(|e| e.to_string());
+                    inner.tracer.end_with(sim, span, b, error);
+                }
+                0
+            },
+        )
     }
 
     /// Resolves a service record via the VSR (always a live lookup —
@@ -1060,30 +930,13 @@ impl Vsg {
 
     /// Resolves a service record through the resolution cache: a warm
     /// entry costs zero VSR round trips; a miss resolves, learns the
-    /// serving gateway's node, and fills the cache.
+    /// serving gateway's node, and fills the cache. It takes the same
+    /// route resolver as a call, so a VSR outage falls back to a stale
+    /// route under degraded reads (served, never re-promoted).
     pub fn resolve_cached(&self, service: &str) -> Result<ServiceRecord, MetaError> {
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        match looked_up {
-            Lookup::Hit(record, _) => return Ok(record),
-            Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
-            Lookup::Miss => {}
-        }
-        match self.inner.vsr.resolve(service) {
-            Ok(record) => {
-                if let Ok(gw_node) = self.inner.vsr.gateway_node(&record.gateway) {
-                    self.inner
-                        .rescache
-                        .lock()
-                        .insert_resolved(service, record.clone(), gw_node);
-                }
-                Ok(record)
-            }
-            Err(MetaError::UnknownService(name)) => {
-                self.inner.rescache.lock().insert_negative(service);
-                Err(MetaError::UnknownService(name))
-            }
-            Err(e) => Err(e),
-        }
+        let policy = self.inner.resilience.lock().clone();
+        let route = self.cached_route(self.inner.backbone.sim(), service, &policy)?;
+        Ok(route.record)
     }
 
     /// Drops all cached resolutions, forcing fresh VSR resolution on the
@@ -1196,6 +1049,50 @@ impl fmt::Debug for Vsg {
     }
 }
 
+/// A route to a remote service: its record, its serving gateway's
+/// node, and where the resolver found it, which decides how the call's
+/// outcome settles the cache ([`Vsg::settle`]).
+struct Route {
+    record: ServiceRecord,
+    gw_node: NodeId,
+    source: RouteSource,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RouteSource {
+    /// A live resolution-cache entry.
+    Cached,
+    /// A fresh VSR resolution, not cached yet.
+    Vsr,
+    /// An invalidated entry served while the VSR is unreachable.
+    Stale,
+}
+
+/// What one pass of [`Vsg::invoke_batch`] works from.
+struct BatchRound<'a> {
+    items: &'a [BatchItem],
+    batching: &'a BatchPolicy,
+    policy: &'a ResiliencePolicy,
+    started: SimTime,
+}
+
+/// A batch item's wire request and declared idempotency. An event is
+/// always idempotent: a duplicated notification is tolerable, a dropped
+/// one is not, so events never block a frame re-send.
+fn member_request(item: &BatchItem) -> (VsgRequest, Option<bool>) {
+    match item {
+        BatchItem::Call(call) => {
+            let mut req = VsgRequest::new(&call.service, &call.operation);
+            req.args = call.args.clone();
+            (req, None)
+        }
+        BatchItem::Event { service, event } => (
+            VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone()),
+            Some(true),
+        ),
+    }
+}
+
 /// Whether `operation` is declared idempotent in the resolved record's
 /// interface. Unknown operations default to *not* idempotent — the
 /// server rejects them anyway, and that answer is never ambiguous.
@@ -1208,9 +1105,8 @@ fn op_is_idempotent(record: &ServiceRecord, operation: &str) -> bool {
 
 /// Serves one request arriving over the gateway-to-gateway wire: joins
 /// the caller's trace (when a context rode along), records the
-/// `server-proxy` hop, and dispatches to the local invoker. A member
-/// carrying the reserved event operation goes to the gateway's event
-/// sink instead of a service invoker.
+/// `server-proxy` hop (an `event` hop for the reserved event operation),
+/// and serves the request locally.
 fn serve_remote(
     local: &Mutex<HashMap<String, LocalEntry>>,
     tracer: &Tracer,
@@ -1220,43 +1116,45 @@ fn serve_remote(
     req: &VsgRequest,
 ) -> Result<Value, MetaError> {
     let adopted = req.trace.is_some_and(|ctx| tracer.adopt(ctx));
-    let result = if req.operation == EVENT_OP {
-        let span = tracer.begin(sim, HopKind::Event, || format!("event {}", req.service));
-        let payload = req
-            .args
-            .iter()
-            .find(|(k, _)| k == EVENT_ARG)
-            .map(|(_, v)| v.clone())
-            .unwrap_or(Value::Null);
-        if let Some(sink) = event_sink.lock().as_mut() {
-            sink(sim, &req.service, &payload);
-        }
-        // Delivery is acknowledged even with no sink installed — events
-        // are notifications, not queries; an uninterested gateway is
-        // not an error.
-        let result = Ok(Value::Null);
-        tracer.end_result(sim, span, &result);
-        result
+    let span = if req.operation == EVENT_OP {
+        tracer.begin(sim, HopKind::Event, || format!("event {}", req.service))
     } else {
-        let span = tracer.begin(sim, HopKind::ServerProxy, || {
+        tracer.begin(sim, HopKind::ServerProxy, || {
             format!("{}.{}", req.service, req.operation)
-        });
-        let result = dispatch_local(
-            local,
-            tracer,
-            metrics,
-            sim,
-            &req.service,
-            &req.operation,
-            &req.args,
-        );
-        tracer.end_result(sim, span, &result);
-        result
+        })
     };
+    let result = serve_local(local, event_sink, tracer, metrics, sim, req);
+    tracer.end_result(sim, span, &result);
     if adopted {
         tracer.unadopt();
     }
     result
+}
+
+/// Serves `req` from this gateway's own services, whether it arrived
+/// over the wire or is a local batch member. A request carrying the
+/// reserved event operation goes to the event sink and is acknowledged
+/// even with no sink installed — events are notifications, not
+/// queries; an uninterested gateway is not an error. Anything else
+/// goes to the service's invoker.
+fn serve_local(
+    local: &Mutex<HashMap<String, LocalEntry>>,
+    event_sink: &Mutex<Option<EventSink>>,
+    tracer: &Tracer,
+    metrics: &MetricsRegistry,
+    sim: &Sim,
+    req: &VsgRequest,
+) -> Result<Value, MetaError> {
+    if req.operation != EVENT_OP {
+        let (service, operation) = (&req.service, &req.operation);
+        return dispatch_local(local, tracer, metrics, sim, service, operation, &req.args);
+    }
+    if let Some(sink) = event_sink.lock().as_mut() {
+        let null = Value::Null;
+        let event = req.args.iter().find(|(k, _)| k == EVENT_ARG);
+        sink(sim, &req.service, event.map_or(&null, |(_, v)| v));
+    }
+    Ok(Value::Null)
 }
 
 fn dispatch_local(
@@ -1561,30 +1459,61 @@ mod tests {
         assert_eq!(vsr.service_count(), 0);
     }
 
+    /// The ways a client can call one remote operation: a single
+    /// `invoke`, and a one-member `invoke_batch` with batching on or off.
+    /// All of them must answer alike.
+    fn call_styles() -> [Option<BatchPolicy>; 3] {
+        [
+            None,
+            Some(BatchPolicy::default()),
+            Some(BatchPolicy::disabled()),
+        ]
+    }
+
+    /// Calls `hall-lamp.status` from `gw` in `style`.
+    fn lamp_status(gw: &Vsg, sim: &Sim, style: &Option<BatchPolicy>) -> Result<Value, MetaError> {
+        use crate::batch::{BatchCall, BatchItem};
+        match style {
+            None => gw.invoke(sim, "hall-lamp", "status", &[]),
+            Some(policy) => {
+                gw.set_batching(policy.clone());
+                let item = BatchItem::Call(BatchCall::new("hall-lamp", "status"));
+                gw.invoke_batch(sim, &[item]).remove(0)
+            }
+        }
+    }
+
     #[test]
     fn service_move_between_gateways_serves_fresh_record() {
-        let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
-        let gw_c = Vsg::start(&net, "gw-c", gw_a.protocol().clone(), vsr.node()).unwrap();
-        export_lamp(&gw_a);
-        gw_c.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-a");
+        for style in call_styles() {
+            let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            let gw_c = Vsg::start(&net, "gw-c", gw_a.protocol().clone(), vsr.node()).unwrap();
+            export_lamp(&gw_a);
+            lamp_status(&gw_c, &sim, &style).unwrap();
+            assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-a");
 
-        // The lamp relocates to gw_b; gw_c's cached record is stale.
-        gw_a.withdraw("hall-lamp").unwrap();
-        let on = Arc::new(Mutex::new(false));
-        gw_b.export(
-            VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, "gw-b"),
-            move |_: &Sim, op: &str, _: &[(String, Value)]| match op {
-                "status" => Ok(Value::Bool(*on.lock())),
-                _ => Ok(Value::Null),
-            },
-        )
-        .unwrap();
+            // The lamp relocates to gw_b; gw_c's cached record is stale.
+            gw_a.withdraw("hall-lamp").unwrap();
+            let on = Arc::new(Mutex::new(false));
+            gw_b.export(
+                VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, "gw-b"),
+                move |_: &Sim, op: &str, _: &[(String, Value)]| match op {
+                    "status" => Ok(Value::Bool(*on.lock())),
+                    _ => Ok(Value::Null),
+                },
+            )
+            .unwrap();
 
-        // Invocation recovers transparently, and the re-learned record
-        // names the new gateway — no stale interface or endpoint.
-        gw_c.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-b");
+            // Invocation recovers transparently, and the re-learned
+            // record names the new gateway — no stale interface or
+            // endpoint.
+            for _ in 0..2 {
+                let v = lamp_status(&gw_c, &sim, &style);
+                assert_eq!(v, Ok(Value::Bool(false)), "{style:?}");
+            }
+            assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-b");
+            assert_eq!(gw_c.cache_stats().invalidations, 1, "{style:?}");
+        }
     }
 
     #[test]
@@ -1744,38 +1673,40 @@ mod tests {
 
     #[test]
     fn vsr_outage_serves_stale_routes_degraded() {
-        let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
-        export_lamp(&gw_a);
-        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap(); // warm the route
-        gw_b.set_resilience(ResiliencePolicy {
-            max_retries: 0,
-            ..ResiliencePolicy::default()
-        });
-        let t = sim.now();
-        net.set_fault_plan(
-            simnet::FaultPlan::new()
-                .node_down(gw_a.node(), t, t + simnet::SimDuration::from_secs(1))
-                .node_down(vsr.node(), t, t + simnet::SimDuration::from_secs(3600)),
-        );
-        // Gateway and VSR both down: the wire call fails, the route is
-        // demoted to stale, re-resolution fails, the stale route is
-        // tried (degraded) and fails too — but gracefully typed.
-        let err = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap_err();
-        assert!(err.is_transport_failure(), "{err}");
+        for style in call_styles() {
+            let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            export_lamp(&gw_a);
+            gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap(); // warm the route
+            gw_b.set_resilience(ResiliencePolicy {
+                max_retries: 0,
+                ..ResiliencePolicy::default()
+            });
+            let t = sim.now();
+            net.set_fault_plan(
+                simnet::FaultPlan::new()
+                    .node_down(gw_a.node(), t, t + simnet::SimDuration::from_secs(1))
+                    .node_down(vsr.node(), t, t + simnet::SimDuration::from_secs(3600)),
+            );
+            // Gateway and VSR both down: the wire call fails, the route
+            // is demoted to stale, re-resolution fails, the stale route
+            // is tried (degraded) and fails too — but gracefully typed.
+            let err = lamp_status(&gw_b, &sim, &style).unwrap_err();
+            assert!(err.is_transport_failure(), "{style:?}: {err}");
 
-        // gw-a recovers; the VSR is still down for an hour. Degraded
-        // mode keeps the home controllable from the stale route.
-        sim.advance(simnet::SimDuration::from_secs(2));
-        let v = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(v, Value::Bool(false));
-        assert_eq!(gw_b.metrics().snapshot().degraded_serves, 2);
-        assert_eq!(gw_b.cache_stats().stale_serves, 2);
+            // gw-a recovers; the VSR is still down for an hour. Degraded
+            // mode keeps the home controllable from the stale route.
+            sim.advance(simnet::SimDuration::from_secs(2));
+            let v = lamp_status(&gw_b, &sim, &style);
+            assert_eq!(v, Ok(Value::Bool(false)), "{style:?}");
+            assert_eq!(gw_b.metrics().snapshot().degraded_serves, 2);
+            assert_eq!(gw_b.cache_stats().stale_serves, 2);
 
-        // The degraded success re-promoted the route: next call is a
-        // plain cache hit, no VSR needed.
-        let hits_before = gw_b.cache_stats().hits;
-        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_b.cache_stats().hits, hits_before + 1);
+            // The degraded success re-promoted the route: next call is a
+            // plain cache hit, no VSR needed.
+            let hits_before = gw_b.cache_stats().hits;
+            lamp_status(&gw_b, &sim, &style).unwrap();
+            assert_eq!(gw_b.cache_stats().hits, hits_before + 1);
+        }
     }
 
     #[test]

@@ -125,6 +125,13 @@ run_bench() {
     stage "cargo bench --no-run (benches compile)"
     cargo bench --workspace --no-run -q
 
+    # E8 smoke run: VSR publish, resolve and find at 1..500 services.
+    # Its cells are virtual time and records scanned, so a change to
+    # the repository's wire traffic or its index use shows up as
+    # drift. Emits BENCH_vsr_lookup.json for the gate below.
+    stage "e8 VSR lookup smoke (virtual-time cells)"
+    cargo bench -p bench --bench e8_vsr_lookup -- --test
+
     # E11 smoke run: the design ablations over the gateway's remote-call
     # path (route cache on/off, registry indexes, CPU model, X10
     # repeats). Its cells are virtual time, VSR inquiries and records
@@ -198,6 +205,23 @@ run_bench() {
     python3 scripts/bench_gate.py
 }
 
+# The repository benchmark's own checks: its helper tests, then one
+# short traced run of each workload, which must report
+# "correct": true (every op answered as the model of the home says,
+# deterministic cells identical across episodes).
+run_perfbench() {
+    stage "perfbench helper tests"
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
+    for workload in soap_call_mix directory_churn cloud_fleet; do
+        stage "perfbench $workload (1 s, traced, must be correct)"
+        result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+        echo "$result"
+        echo "$result" | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)' \
+            || { echo "perfbench $workload: result is not correct" >&2; exit 1; }
+    done
+}
+
 run_docs() {
     stage "cargo doc --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
@@ -206,7 +230,7 @@ run_docs() {
 # Stage registry: name -> function. The default full run executes
 # ALL_STAGES in order (wan-chaos is omitted there: the full chaos
 # stage already runs the whole chaos suite every seed).
-ALL_STAGES="lint build-test chaos composition parallel-determinism bench docs"
+ALL_STAGES="lint build-test chaos composition parallel-determinism bench perfbench docs"
 
 run_stage() {
     case "$1" in
@@ -217,6 +241,7 @@ run_stage() {
         composition) run_composition ;;
         parallel-determinism) run_parallel_determinism ;;
         bench) run_bench ;;
+        perfbench) run_perfbench ;;
         docs) run_docs ;;
         *)
             echo "ci.sh: unknown stage '$1'" >&2

@@ -7,6 +7,8 @@
 //! scanned tracks result sizes instead of growing with the registry —
 //! the building-scale deployment the paper gestures at is now a lookup
 //! away, not a linear scan (`BENCH_hotpath.json` has the ablation).
+//! The virtual-time table is emitted as `BENCH_vsr_lookup.json`, which
+//! the bench gate compares against its baseline.
 
 use bench::{cell, fmt_us, Report};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -81,7 +83,7 @@ fn simulated_scaling() {
             cell(vsr.registry_stats().records_scanned),
         ]);
     }
-    report.emit();
+    report.emit_as("BENCH_vsr_lookup.json");
 }
 
 fn bench(c: &mut Criterion) {

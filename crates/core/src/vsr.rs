@@ -90,7 +90,7 @@ impl ServiceRecord {
         let middleware = Middleware::from_label(v.field("middleware")?.as_str()?)?;
         let gateway = v.field("gateway")?.as_str()?.to_owned();
         let wsdl_doc = v.field("wsdl")?.as_str()?;
-        let parsed = minixml::parse(wsdl_doc).ok()?;
+        let parsed = minixml::parse_ref(wsdl_doc).ok()?;
         let desc = wsdl::ServiceDescription::from_xml(&parsed).ok()?;
         let contexts = match v.field("contexts") {
             Some(Value::Record(fields)) => fields
@@ -174,9 +174,9 @@ impl Vsr {
             .iter()
             .map(|r| {
                 let st = r.state.lock();
-                st.entries
-                    .iter()
-                    .filter(|(_, e)| {
+                st.entries()
+                    .values()
+                    .filter(|e| {
                         matches!(e.kind, federation::EntryKind::Record(_))
                             && map.primary(e.shard) == r.node
                     })
@@ -214,6 +214,13 @@ impl Vsr {
     /// repository operation — a crashed gateway's exports stop
     /// resolving instead of lingering forever. Records published
     /// before the switch have no lease until their next publish/renew.
+    ///
+    /// While leases are off nothing is reaped, even a record that still
+    /// carries a deadline from before the switch. Renewing such a
+    /// record clears its deadline, as a versioned write replicated like
+    /// any other; renewing a record without a deadline changes nothing
+    /// (no version bump, no push). A deadline left in place applies
+    /// again once leases are turned back on.
     pub fn set_lease_duration(&self, duration: Option<SimDuration>) {
         for r in &self.replicas {
             r.state.lock().lease = duration;
@@ -575,7 +582,6 @@ impl VsrClient {
         let wsdl_doc = service
             .interface
             .to_wsdl(&service.name, &service.endpoint())
-            .to_xml()
             .to_document();
         let contexts: Vec<(String, Value)> = service
             .contexts
@@ -856,6 +862,86 @@ mod tests {
         client.publish(&lamp_service()).unwrap();
         sim.advance(SimDuration::from_secs(3600));
         assert!(client.resolve("hall-lamp").is_ok());
+    }
+
+    #[test]
+    fn leases_turned_off_reap_nothing_and_renew_clears_the_deadline() {
+        let sim = Sim::new(1);
+        let net = Network::ethernet(&sim);
+        let vsr = Vsr::start_federated(
+            &net,
+            &FederationConfig {
+                shards: 2,
+                replicas: 3,
+                replication: 3,
+                ..FederationConfig::default()
+            },
+        );
+        let client = VsrClient::new(&net, net.attach("pcm"), vsr.node());
+        // Every replica's copy of the record: (version, deadline).
+        let copies = || -> Vec<(federation::Version, Option<simnet::SimTime>)> {
+            vsr.replicas
+                .iter()
+                .map(|r| {
+                    let st = r.state.lock();
+                    let entry = &st.entries()["hall-lamp"];
+                    match &entry.kind {
+                        federation::EntryKind::Record(rec) => (entry.version, rec.expires_at),
+                        other => panic!("hall-lamp is not live: {other:?}"),
+                    }
+                })
+                .collect()
+        };
+
+        vsr.set_lease_duration(Some(SimDuration::from_secs(10)));
+        client.publish(&lamp_service()).unwrap();
+        vsr.set_lease_duration(None);
+        let published = copies();
+        assert!(published.iter().all(|&(_, at)| at.is_some()), "leased");
+
+        // The first renewal with leases off clears the deadline: a
+        // versioned write that reaches every replica.
+        sim.advance(SimDuration::from_secs(4));
+        assert!(client.renew("hall-lamp").unwrap());
+        let cleared = copies();
+        assert!(cleared[0].0 > published[0].0, "clearing bumps the version");
+        assert!(
+            cleared.iter().all(|&c| c == (cleared[0].0, None)),
+            "the clearing is replicated: {cleared:?}"
+        );
+
+        // A second renewal has nothing to clear: no version bump.
+        sim.advance(SimDuration::from_secs(4));
+        assert!(client.renew("hall-lamp").unwrap());
+        assert_eq!(copies(), cleared, "no-op renewal");
+
+        // Past the old 10 s deadline the record still resolves...
+        sim.advance(SimDuration::from_secs(4));
+        assert_eq!(client.resolve("hall-lamp").unwrap().gateway, "x10-gw");
+        // ...and, carrying no deadline, survives leases coming back on.
+        vsr.set_lease_duration(Some(SimDuration::from_secs(10)));
+        sim.advance(SimDuration::from_secs(60));
+        assert!(client.resolve("hall-lamp").is_ok());
+        assert_eq!(vsr.service_count(), 1);
+    }
+
+    #[test]
+    fn leases_turned_off_keep_an_unrenewed_deadline_dormant() {
+        let (sim, _net, vsr, client) = world();
+        vsr.set_lease_duration(Some(SimDuration::from_secs(10)));
+        client.publish(&lamp_service()).unwrap();
+        vsr.set_lease_duration(None);
+        sim.advance(SimDuration::from_secs(30));
+        assert!(
+            client.resolve("hall-lamp").is_ok(),
+            "nothing reaped while off"
+        );
+        // The deadline was never cleared: it applies once leases return.
+        vsr.set_lease_duration(Some(SimDuration::from_secs(10)));
+        assert!(matches!(
+            client.resolve("hall-lamp"),
+            Err(MetaError::UnknownService(_))
+        ));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! concrete VSG endpoint that reaches it.
 
 use crate::types::XsdType;
-use minixml::Element;
+use minixml::{escape_attr_into, escape_text_into, ElemRef};
 use std::fmt;
 
 /// One named, typed message part (a parameter or return value).
@@ -126,52 +126,65 @@ impl ServiceDescription {
         self.operations.iter().find(|o| o.name == name)
     }
 
-    /// Serialises to a WSDL-style document.
-    pub fn to_xml(&self) -> Element {
-        let mut port_type = Element::new("portType").attr("name", format!("{}PortType", self.name));
-        for op in &self.operations {
-            let mut op_el = Element::new("operation").attr("name", &op.name);
-            if op.idempotent {
-                op_el = op_el.attr("idempotent", "true");
-            }
-            let mut input = Element::new("input");
-            for p in &op.inputs {
-                input.push(
-                    Element::new("part")
-                        .attr("name", &p.name)
-                        .attr("type", p.ty.as_qname()),
-                );
-            }
-            op_el.push(input);
-            if let Some(out) = &op.output {
-                op_el.push(
-                    Element::new("output").child(
-                        Element::new("part")
-                            .attr("name", &out.name)
-                            .attr("type", out.ty.as_qname()),
-                    ),
-                );
-            }
-            port_type.push(op_el);
-        }
-        let mut defs = Element::new("definitions")
-            .attr("name", &self.name)
-            .attr("targetNamespace", &self.namespace);
+    /// Serialises to a WSDL-style document (XML declaration included),
+    /// written straight into one buffer with no element tree between.
+    pub fn to_document(&self) -> String {
+        // Room for the fixed markup plus a typical operation each, so
+        // the buffer rarely has to grow.
+        let mut out = String::with_capacity(512 + 128 * self.operations.len());
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?><definitions name=\"");
+        escape_attr_into(&self.name, &mut out);
+        out.push_str("\" targetNamespace=\"");
+        escape_attr_into(&self.namespace, &mut out);
+        out.push_str("\">");
         if !self.documentation.is_empty() {
-            defs.push(Element::new("documentation").text(&self.documentation));
+            out.push_str("<documentation>");
+            escape_text_into(&self.documentation, &mut out);
+            out.push_str("</documentation>");
         }
-        defs.push(port_type);
-        defs.push(
-            Element::new("service").attr("name", &self.name).child(
-                Element::new("port")
-                    .child(Element::new("soap:address").attr("location", &self.endpoint)),
-            ),
-        );
-        defs
+        out.push_str("<portType name=\"");
+        escape_attr_into(&self.name, &mut out);
+        out.push_str("PortType\"");
+        if self.operations.is_empty() {
+            out.push_str("/>");
+        } else {
+            out.push('>');
+            for op in &self.operations {
+                out.push_str("<operation name=\"");
+                escape_attr_into(&op.name, &mut out);
+                out.push('"');
+                if op.idempotent {
+                    out.push_str(" idempotent=\"true\"");
+                }
+                if op.inputs.is_empty() {
+                    out.push_str("><input/>");
+                } else {
+                    out.push_str("><input>");
+                    for p in &op.inputs {
+                        write_part(p, &mut out);
+                    }
+                    out.push_str("</input>");
+                }
+                if let Some(output) = &op.output {
+                    out.push_str("<output>");
+                    write_part(output, &mut out);
+                    out.push_str("</output>");
+                }
+                out.push_str("</operation>");
+            }
+            out.push_str("</portType>");
+        }
+        out.push_str("<service name=\"");
+        escape_attr_into(&self.name, &mut out);
+        out.push_str("\"><port><soap:address location=\"");
+        escape_attr_into(&self.endpoint, &mut out);
+        out.push_str("\"/></port></service></definitions>");
+        out
     }
 
-    /// Parses a WSDL-style document produced by [`Self::to_xml`].
-    pub fn from_xml(e: &Element) -> Result<ServiceDescription, DescriptionError> {
+    /// Parses a WSDL-style document produced by [`Self::to_document`],
+    /// from the borrowed tier of [`minixml::parse_ref`].
+    pub fn from_xml(e: &ElemRef<'_>) -> Result<ServiceDescription, DescriptionError> {
         if e.local_name() != "definitions" {
             return Err(DescriptionError::new("root must be <definitions>"));
         }
@@ -182,33 +195,26 @@ impl ServiceDescription {
         let namespace = e.get_attr("targetNamespace").unwrap_or_default().to_owned();
         let documentation = e
             .find("documentation")
-            .map(Element::text_content)
+            .map(|d| d.text_content().into_owned())
             .unwrap_or_default();
         let mut operations = Vec::new();
         if let Some(pt) = e.find("portType") {
             for op_el in pt.find_all("operation") {
                 let op_name = op_el
                     .get_attr("name")
-                    .ok_or_else(|| DescriptionError::new("operation missing name"))?
-                    .to_owned();
+                    .ok_or_else(|| DescriptionError::new("operation missing name"))?;
                 let mut op = Operation::new(op_name);
                 op.idempotent = op_el.get_attr("idempotent") == Some("true");
                 if let Some(input) = op_el.find("input") {
-                    for p in input.find_all("part") {
-                        op.inputs.push(Part::new(
-                            p.get_attr("name").unwrap_or("arg"),
-                            XsdType::from_qname(p.get_attr("type").unwrap_or("anyType")),
-                        ));
-                    }
+                    op.inputs = input
+                        .find_all("part")
+                        .map(|p| read_part(p, "arg"))
+                        .collect();
                 }
-                if let Some(output) = op_el.find("output") {
-                    if let Some(p) = output.find("part") {
-                        op.output = Some(Part::new(
-                            p.get_attr("name").unwrap_or("return"),
-                            XsdType::from_qname(p.get_attr("type").unwrap_or("anyType")),
-                        ));
-                    }
-                }
+                op.output = op_el
+                    .find("output")
+                    .and_then(|output| output.find("part"))
+                    .map(|p| read_part(p, "return"));
                 operations.push(op);
             }
         }
@@ -225,6 +231,23 @@ impl ServiceDescription {
             documentation,
         })
     }
+}
+
+/// Writes one `<part name=".." type=".."/>`.
+fn write_part(p: &Part, out: &mut String) {
+    out.push_str("<part name=\"");
+    escape_attr_into(&p.name, out);
+    out.push_str("\" type=\"");
+    out.push_str(p.ty.as_qname());
+    out.push_str("\"/>");
+}
+
+/// Reads one `<part>`, naming it `default_name` when it has no name.
+fn read_part(p: &ElemRef<'_>, default_name: &str) -> Part {
+    Part::new(
+        p.get_attr("name").unwrap_or(default_name),
+        XsdType::from_qname(p.get_attr("type").unwrap_or("anyType")),
+    )
 }
 
 /// A description parse failure.
@@ -270,26 +293,33 @@ mod tests {
             )
     }
 
-    #[test]
-    fn xml_round_trip() {
-        let d = vcr();
-        let back = ServiceDescription::from_xml(&d.to_xml()).unwrap();
-        assert_eq!(back, d);
+    fn round_trip(d: &ServiceDescription) -> ServiceDescription {
+        let doc = d.to_document();
+        ServiceDescription::from_xml(&minixml::parse_ref(&doc).unwrap()).unwrap()
     }
 
     #[test]
     fn round_trip_through_text() {
         let d = vcr();
-        let doc = d.to_xml().to_document();
-        let parsed = minixml::parse(&doc).unwrap();
-        assert_eq!(ServiceDescription::from_xml(&parsed).unwrap(), d);
+        assert_eq!(round_trip(&d), d);
+    }
+
+    #[test]
+    fn streamed_document_matches_the_element_tree_shape() {
+        // The writer must produce exactly what serialising the
+        // equivalent element tree would: re-serialising the parsed
+        // document through minixml's owned tier reproduces the bytes.
+        for d in [vcr(), ServiceDescription::new("bare", "urn:vsg:bare")] {
+            let doc = d.to_document();
+            let tree = minixml::parse(&doc).unwrap();
+            assert_eq!(tree.to_document(), doc);
+            assert_eq!(round_trip(&d), d);
+        }
     }
 
     #[test]
     fn idempotence_survives_the_wire() {
-        let d = vcr();
-        let doc = d.to_xml().to_document();
-        let back = ServiceDescription::from_xml(&minixml::parse(&doc).unwrap()).unwrap();
+        let back = round_trip(&vcr());
         assert!(back.find_operation("position").unwrap().idempotent);
         assert!(!back.find_operation("record").unwrap().idempotent);
     }
@@ -305,10 +335,10 @@ mod tests {
 
     #[test]
     fn rejects_wrong_root() {
-        let e = Element::new("notdefs");
-        assert!(ServiceDescription::from_xml(&e).is_err());
-        let e = Element::new("definitions"); // no name
-        assert!(ServiceDescription::from_xml(&e).is_err());
+        let wrong = minixml::parse_ref("<notdefs/>").unwrap();
+        assert!(ServiceDescription::from_xml(&wrong).is_err());
+        let unnamed = minixml::parse_ref("<definitions/>").unwrap();
+        assert!(ServiceDescription::from_xml(&unnamed).is_err());
     }
 
     #[test]
@@ -317,7 +347,7 @@ mod tests {
             <portType name="sPortType">
               <operation name="op"><input><part name="x" type="vendor:blob"/></input></operation>
             </portType></definitions>"#;
-        let d = ServiceDescription::from_xml(&minixml::parse(doc).unwrap()).unwrap();
+        let d = ServiceDescription::from_xml(&minixml::parse_ref(doc).unwrap()).unwrap();
         assert_eq!(d.operations[0].inputs[0].ty, XsdType::Any);
         assert_eq!(d.endpoint, "");
     }

@@ -15,7 +15,7 @@
 //!
 //! let mut reg = UddiRegistry::new();
 //! let biz = reg.save_business("x10-gateway", "powerline island");
-//! let tm = reg.save_tmodel("lampPortType", &desc.to_xml().to_document());
+//! let tm = reg.save_tmodel("lampPortType", &desc.to_document());
 //! reg.save_service(&biz, "lamp",
 //!     vec![KeyedReference::new("uddi:middleware", "x10")],
 //!     &desc.endpoint, Some(tm)).unwrap();
@@ -75,8 +75,8 @@ mod proptests {
                 }
                 d = d.operation(op);
             }
-            let text = d.to_xml().to_document();
-            let back = ServiceDescription::from_xml(&minixml::parse(&text).unwrap()).unwrap();
+            let text = d.to_document();
+            let back = ServiceDescription::from_xml(&minixml::parse_ref(&text).unwrap()).unwrap();
             prop_assert_eq!(back, d);
         }
 

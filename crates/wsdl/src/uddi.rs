@@ -7,8 +7,11 @@
 //! tModels hold the technical fingerprints (here: WSDL documents) —
 //! with the v2 `find_*` inquiry semantics ('%' wildcards, category bags).
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Bound;
 
 /// A registry key (`uuid:NNNN` style).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,6 +121,10 @@ pub struct RegistryStats {
 /// always maintained; [`UddiRegistry::set_indexing`] only switches
 /// the *lookup* path back to a full scan, so benches can ablate
 /// indexed vs. scan behaviour on identical registry state.
+///
+/// Inquiries take `&self` and answer with references into the
+/// registry, so a caller pays for copying only what it serialises;
+/// their statistics live in a [`Cell`].
 #[derive(Debug)]
 pub struct UddiRegistry {
     businesses: BTreeMap<Key, BusinessEntity>,
@@ -129,7 +136,7 @@ pub struct UddiRegistry {
     category_index: HashMap<String, HashMap<String, BTreeSet<Key>>>,
     indexing: bool,
     next_id: u64,
-    stats: RegistryStats,
+    stats: Cell<RegistryStats>,
 }
 
 impl Default for UddiRegistry {
@@ -142,17 +149,17 @@ impl Default for UddiRegistry {
             category_index: HashMap::new(),
             indexing: true,
             next_id: 0,
-            stats: RegistryStats::default(),
+            stats: Cell::new(RegistryStats::default()),
         }
     }
 }
 
 /// Which records an inquiry must examine.
-enum Candidates {
+enum Candidates<'a> {
     /// No index applies — scan every record.
     All,
     /// Only these keys can possibly match.
-    Keys(Vec<Key>),
+    Keys(Vec<&'a Key>),
 }
 
 impl UddiRegistry {
@@ -177,7 +184,7 @@ impl UddiRegistry {
 
     /// Registers a business entity, returning its key.
     pub fn save_business(&mut self, name: &str, description: &str) -> Key {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         let key = self.fresh_key("biz");
         self.businesses.insert(
             key.clone(),
@@ -192,7 +199,7 @@ impl UddiRegistry {
 
     /// Registers a tModel, returning its key.
     pub fn save_tmodel(&mut self, name: &str, overview_doc: &str) -> Key {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         let key = self.fresh_key("tm");
         self.tmodels.insert(
             key.clone(),
@@ -216,7 +223,7 @@ impl UddiRegistry {
         access_point: &str,
         tmodel_key: Option<Key>,
     ) -> Option<Key> {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         if !self.businesses.contains_key(business_key) {
             return None;
         }
@@ -256,8 +263,7 @@ impl UddiRegistry {
     pub fn delete_services_by_name(&mut self, name: &str) -> Vec<BusinessService> {
         let keys = self
             .name_index
-            .get(&name.to_ascii_lowercase())
-            .cloned()
+            .remove(&name.to_ascii_lowercase())
             .unwrap_or_default();
         let mut removed = Vec::with_capacity(keys.len());
         for key in keys {
@@ -314,15 +320,21 @@ impl UddiRegistry {
 
     // ---- inquiry ----------------------------------------------------------
 
+    /// Counts one inquiry that examined `scanned` records.
+    fn note_inquiry(&self, scanned: usize) {
+        let mut stats = self.stats.get();
+        stats.inquiries += 1;
+        stats.records_scanned += scanned as u64;
+        self.stats.set(stats);
+    }
+
     /// Finds businesses whose name matches `pattern` (`%` wildcards,
     /// case-insensitive — UDDI v2 semantics).
-    pub fn find_business(&mut self, pattern: &str) -> Vec<BusinessEntity> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += self.businesses.len() as u64;
+    pub fn find_business(&self, pattern: &str) -> Vec<&BusinessEntity> {
+        self.note_inquiry(self.businesses.len());
         self.businesses
             .values()
             .filter(|b| matches_pattern(pattern, &b.name))
-            .cloned()
             .collect()
     }
 
@@ -334,11 +346,10 @@ impl UddiRegistry {
     /// `RegistryStats::records_scanned` counts exactly those — so E8
     /// reports the true lookup cost either way.
     pub fn find_service(
-        &mut self,
+        &self,
         pattern: &str,
         categories: &[KeyedReference],
-    ) -> Vec<BusinessService> {
-        self.stats.inquiries += 1;
+    ) -> Vec<&BusinessService> {
         let matches = |s: &BusinessService| {
             matches_pattern(pattern, &s.name)
                 && categories
@@ -347,19 +358,14 @@ impl UddiRegistry {
         };
         match self.candidates(pattern, categories) {
             Candidates::All => {
-                self.stats.records_scanned += self.services.len() as u64;
-                self.services
-                    .values()
-                    .filter(|s| matches(s))
-                    .cloned()
-                    .collect()
+                self.note_inquiry(self.services.len());
+                self.services.values().filter(|s| matches(s)).collect()
             }
             Candidates::Keys(keys) => {
-                self.stats.records_scanned += keys.len() as u64;
-                keys.iter()
+                self.note_inquiry(keys.len());
+                keys.into_iter()
                     .filter_map(|k| self.services.get(k))
                     .filter(|s| matches(s))
-                    .cloned()
                     .collect()
             }
         }
@@ -367,27 +373,32 @@ impl UddiRegistry {
 
     /// Picks the cheapest candidate set for an inquiry: exact-name hit,
     /// name-prefix range, or the smallest matching category bucket.
-    fn candidates(&self, pattern: &str, categories: &[KeyedReference]) -> Candidates {
+    fn candidates(&self, pattern: &str, categories: &[KeyedReference]) -> Candidates<'_> {
         if !self.indexing {
             return Candidates::All;
         }
         // The run of literal characters before the first wildcard is an
         // index-resolvable prefix (UDDI names compare case-insensitively).
-        let prefix: String = pattern
-            .chars()
-            .take_while(|c| *c != '%')
-            .collect::<String>()
-            .to_ascii_lowercase();
+        let literal = pattern.split('%').next().unwrap_or_default();
+        let prefix: Cow<'_, str> = if literal.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(literal.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(literal)
+        };
         if !pattern.contains('%') {
-            let keys = self.name_index.get(&prefix).cloned().unwrap_or_default();
+            let keys = self
+                .name_index
+                .get(prefix.as_ref())
+                .map(|ks| ks.iter().collect())
+                .unwrap_or_default();
             return Candidates::Keys(keys);
         }
         if !prefix.is_empty() {
-            let keys: Vec<Key> = self
+            let keys: Vec<&Key> = self
                 .name_index
-                .range(prefix.clone()..)
-                .take_while(|(name, _)| name.starts_with(&prefix))
-                .flat_map(|(_, ks)| ks.iter().cloned())
+                .range::<str, _>((Bound::Included(prefix.as_ref()), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix.as_ref()))
+                .flat_map(|(_, ks)| ks.iter())
                 .collect();
             return Candidates::Keys(keys);
         }
@@ -404,37 +415,31 @@ impl UddiRegistry {
             })
             .min_by_key(|bucket| bucket.map_or(0, |keys| keys.len()));
         match smallest {
-            Some(bucket) => Candidates::Keys(
-                bucket
-                    .map(|keys| keys.iter().cloned().collect())
-                    .unwrap_or_default(),
-            ),
+            Some(bucket) => {
+                Candidates::Keys(bucket.map(|keys| keys.iter().collect()).unwrap_or_default())
+            }
             None => Candidates::All,
         }
     }
 
     /// Full detail for one service.
-    pub fn get_service(&mut self, key: &Key) -> Option<BusinessService> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += 1;
-        self.services.get(key).cloned()
+    pub fn get_service(&self, key: &Key) -> Option<&BusinessService> {
+        self.note_inquiry(1);
+        self.services.get(key)
     }
 
     /// Full detail for one tModel.
-    pub fn get_tmodel(&mut self, key: &Key) -> Option<TModel> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += 1;
-        self.tmodels.get(key).cloned()
+    pub fn get_tmodel(&self, key: &Key) -> Option<&TModel> {
+        self.note_inquiry(1);
+        self.tmodels.get(key)
     }
 
     /// Finds tModels by name pattern.
-    pub fn find_tmodel(&mut self, pattern: &str) -> Vec<TModel> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += self.tmodels.len() as u64;
+    pub fn find_tmodel(&self, pattern: &str) -> Vec<&TModel> {
+        self.note_inquiry(self.tmodels.len());
         self.tmodels
             .values()
             .filter(|t| matches_pattern(pattern, &t.name))
-            .cloned()
             .collect()
     }
 
@@ -452,7 +457,7 @@ impl UddiRegistry {
 
     /// Inquiry/publication statistics.
     pub fn stats(&self) -> RegistryStats {
-        self.stats
+        self.stats.get()
     }
 }
 
@@ -504,7 +509,7 @@ mod tests {
 
     #[test]
     fn publish_and_find_by_name() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         assert_eq!(reg.service_count(), 2);
         let found = reg.find_service("living%", &[]);
         assert_eq!(found.len(), 1);
@@ -517,7 +522,7 @@ mod tests {
 
     #[test]
     fn find_by_category() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let havi = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "havi")]);
         assert_eq!(havi.len(), 2);
         let vcrs = reg.find_service(
@@ -534,7 +539,7 @@ mod tests {
 
     #[test]
     fn tmodel_carries_wsdl() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let svc = &reg.find_service("living%", &[])[0];
         let tm_key = svc.bindings[0].tmodel_key.clone().unwrap();
         let tm = reg.get_tmodel(&tm_key).unwrap();
@@ -561,7 +566,7 @@ mod tests {
 
     #[test]
     fn stats_track_activity() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let before = reg.stats();
         assert_eq!(before.publishes, 4); // 1 biz + 1 tmodel + 2 services
         reg.find_service("%", &[]);
@@ -569,6 +574,34 @@ mod tests {
         let after = reg.stats();
         assert_eq!(after.inquiries, before.inquiries + 2);
         assert!(after.records_scanned > before.records_scanned);
+    }
+
+    #[test]
+    fn inquiry_statistics_are_pinned() {
+        let mut reg = populated(1000);
+        let tm = reg.save_tmodel("LampPortType", "<definitions name=\"lamp\"/>");
+        let reg = reg;
+        let base = reg.stats();
+        assert_eq!(
+            base.publishes, 1002,
+            "1 business + 1000 services + 1 tModel"
+        );
+        assert_eq!((base.inquiries, base.records_scanned), (0, 0));
+        let step = |found: usize, want_found: usize, inquiries: u64, scanned: u64| {
+            assert_eq!(found, want_found);
+            let now = reg.stats();
+            assert_eq!(now.publishes, base.publishes, "inquiries publish nothing");
+            assert_eq!((now.inquiries, now.records_scanned), (inquiries, scanned));
+        };
+        // Exact name: the name index hands over exactly one candidate.
+        step(reg.find_service("device-0042", &[]).len(), 1, 1, 1);
+        // Prefix wildcard: the name range device-004x holds ten.
+        step(reg.find_service("device-004%", &[]).len(), 10, 2, 11);
+        // Leading wildcard with a category: the x10 bucket (250).
+        let x10 = [KeyedReference::new("uddi:middleware", "x10")];
+        step(reg.find_service("%", &x10).len(), 250, 3, 261);
+        // A tModel fetch by key counts one inquiry and one record.
+        step(usize::from(reg.get_tmodel(&tm).is_some()), 1, 4, 262);
     }
 
     #[test]
@@ -629,7 +662,7 @@ mod tests {
 
     #[test]
     fn prefix_pattern_scans_only_the_name_range() {
-        let mut reg = populated(1000);
+        let reg = populated(1000);
         let before = reg.stats().records_scanned;
         let found = reg.find_service("device-099%", &[]);
         assert_eq!(found.len(), 10); // device-0990 .. device-0999
@@ -638,7 +671,7 @@ mod tests {
 
     #[test]
     fn leading_wildcard_uses_the_category_index() {
-        let mut reg = populated(1000);
+        let reg = populated(1000);
         let before = reg.stats().records_scanned;
         let found = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "x10")]);
         assert_eq!(found.len(), 250);
@@ -669,9 +702,17 @@ mod tests {
         ];
         for pattern in patterns {
             for cat in &cats {
-                let indexed = reg.find_service(pattern, cat);
+                let indexed: Vec<BusinessService> = reg
+                    .find_service(pattern, cat)
+                    .into_iter()
+                    .cloned()
+                    .collect();
                 reg.set_indexing(false);
-                let scanned = reg.find_service(pattern, cat);
+                let scanned: Vec<BusinessService> = reg
+                    .find_service(pattern, cat)
+                    .into_iter()
+                    .cloned()
+                    .collect();
                 reg.set_indexing(true);
                 assert_eq!(indexed, scanned, "pattern {pattern:?} cats {cat:?}");
             }

@@ -210,8 +210,11 @@ run_bench() {
 # "correct": true (every op answered as the model of the home says,
 # deterministic cells identical across episodes).
 run_perfbench() {
+    # Built into the directory run.py uses, so the runs below reuse
+    # this release build instead of making a second one.
     stage "perfbench helper tests"
-    cargo test --release --manifest-path perfbench/Cargo.toml
+    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+        cargo test --release --manifest-path perfbench/Cargo.toml
 
     for workload in soap_call_mix directory_churn cloud_fleet; do
         stage "perfbench $workload (1 s, traced, must be correct)"

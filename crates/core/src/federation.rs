@@ -39,7 +39,7 @@ use crate::trace::{HopKind, Tracer};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use soap::{Fault, RpcCall, SoapClient, SoapServer, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wsdl::{Key, KeyedReference, UddiRegistry};
 
@@ -361,14 +361,6 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
-    /// The lease deadline of a live record, if it carries one.
-    fn deadline(&self) -> Option<SimTime> {
-        match &self.kind {
-            EntryKind::Record(rec) => rec.expires_at,
-            _ => None,
-        }
-    }
-
     fn to_value(&self, name: &str) -> Value {
         let mut fields = vec![
             ("name".into(), Value::Str(name.to_owned())),
@@ -452,13 +444,7 @@ pub(crate) struct ReplicaState {
     /// The replicated, versioned truth. The UDDI registry below is a
     /// mirror of the live records, kept for §3.3-faithful inquiry
     /// (pattern matching, category filters, inquiry statistics).
-    /// Only [`ReplicaState::store`] writes it, keeping `deadlines` in
-    /// step.
-    entries: HashMap<String, Entry>,
-    /// `(expires_at, name)` of every live record that carries a lease
-    /// deadline, ordered so reaping pops only what is due instead of
-    /// scanning every entry. Empty while no record carries a lease.
-    deadlines: BTreeSet<(SimTime, String)>,
+    pub entries: HashMap<String, Entry>,
     /// The gateway directory, versioned like entries but not sharded
     /// (every replica carries the full directory).
     pub gateways: HashMap<String, (u32, Version)>,
@@ -475,17 +461,10 @@ impl ReplicaState {
             registry,
             business,
             entries: HashMap::new(),
-            deadlines: BTreeSet::new(),
             gateways: HashMap::new(),
             lease: None,
             seq: 0,
         }
-    }
-
-    /// The versioned entries, read-only (writes go through
-    /// [`ReplicaState::apply_entry`]).
-    pub(crate) fn entries(&self) -> &HashMap<String, Entry> {
-        &self.entries
     }
 
     fn next_version(&mut self, now: SimTime) -> Version {
@@ -515,28 +494,12 @@ impl ReplicaState {
                 _ => inc.version > cur.version,
             },
         };
-        if accept {
-            self.store(name, inc);
+        if !accept {
+            return false;
         }
-        accept
-    }
-
-    /// Stores `entry` as `name`'s current state: rebuilds the UDDI
-    /// mirror, replaces the entry, and moves its lease deadline in the
-    /// index.
-    fn store(&mut self, name: &str, entry: Entry) {
-        self.mirror(name, &entry);
-        let deadline = entry.deadline();
-        let old = match self.entries.get_mut(name) {
-            Some(slot) => Some(std::mem::replace(slot, entry)),
-            None => self.entries.insert(name.to_owned(), entry),
-        };
-        if let Some(at) = old.and_then(|e| e.deadline()) {
-            self.deadlines.remove(&(at, name.to_owned()));
-        }
-        if let Some(at) = deadline {
-            self.deadlines.insert((at, name.to_owned()));
-        }
+        self.mirror(name, &inc);
+        self.entries.insert(name.to_owned(), inc);
+        true
     }
 
     /// Rebuilds the UDDI mirror for `name` from an entry about to be
@@ -565,19 +528,21 @@ impl ReplicaState {
     /// Lazily reaps every record whose replicated lease deadline has
     /// passed, tombstoning it with [`EntryKind::Expired`]. Returns the
     /// tombstones so the caller can replicate them to the shard peers.
-    /// Pops only the due deadlines off the index; tombstones are
-    /// minted in name order. While leases are off nothing is reaped
-    /// (see [`crate::Vsr::set_lease_duration`]).
+    /// While leases are off nothing is reaped (see
+    /// [`crate::Vsr::set_lease_duration`]), so the scan is skipped.
     fn expire_due(&mut self, now: SimTime) -> Vec<(String, Entry)> {
         if self.lease.is_none() {
             return Vec::new();
         }
-        let mut due: Vec<String> = Vec::new();
-        while self.deadlines.first().is_some_and(|(at, _)| *at <= now) {
-            if let Some((_, name)) = self.deadlines.pop_first() {
-                due.push(name);
-            }
-        }
+        let mut due: Vec<String> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| match &e.kind {
+                EntryKind::Record(rec) => rec.expires_at.is_some_and(|at| at <= now),
+                _ => false,
+            })
+            .map(|(name, _)| name.clone())
+            .collect();
         due.sort_unstable();
         let mut out = Vec::with_capacity(due.len());
         for name in due {
@@ -590,7 +555,8 @@ impl ReplicaState {
                 shard,
                 kind: EntryKind::Expired { of },
             };
-            self.store(&name, tomb.clone());
+            self.mirror(&name, &tomb);
+            self.entries.insert(name.clone(), tomb.clone());
             out.push((name, tomb));
         }
         out
@@ -1574,168 +1540,5 @@ mod tests {
             st.expire_due(SimTime::from_micros(500)).is_empty(),
             "idempotent"
         );
-    }
-
-    /// The O(n) reaper this module ran before the deadline index, plus
-    /// the leases-off rule: every live record whose deadline has
-    /// passed, tombstoned in name order with the versions the replica
-    /// mints next. The oracle for [`ReplicaState::expire_due`].
-    fn scan_due(st: &ReplicaState, now: SimTime) -> Vec<(String, Entry)> {
-        if st.lease.is_none() {
-            return Vec::new();
-        }
-        let mut due: Vec<String> = st
-            .entries
-            .iter()
-            .filter(|(_, e)| match &e.kind {
-                EntryKind::Record(rec) => rec.expires_at.is_some_and(|at| at <= now),
-                _ => false,
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
-        due.sort_unstable();
-        due.into_iter()
-            .zip(1u64..)
-            .map(|(name, i)| {
-                let cur = &st.entries[&name];
-                let tomb = Entry {
-                    version: Version {
-                        at_us: now.as_micros(),
-                        replica: st.id,
-                        seq: st.seq + i,
-                    },
-                    shard: cur.shard,
-                    kind: EntryKind::Expired { of: cur.version },
-                };
-                (name, tomb)
-            })
-            .collect()
-    }
-
-    /// One step of the deadline-index property.
-    #[derive(Debug, Clone)]
-    enum Step {
-        Publish(u8),
-        Renew(u8),
-        Unpublish(u8),
-        /// Replica `from` pushes its entry for the name to replica `to`
-        /// over the `replicate` operation.
-        Replicate {
-            from: u8,
-            to: u8,
-            name: u8,
-        },
-        Advance(u8),
-        /// Turns leases on for that many seconds, or off.
-        Lease(Option<u8>),
-    }
-
-    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
-        use proptest::prelude::*;
-        prop_oneof![
-            4 => (0u8..6).prop_map(Step::Publish),
-            3 => (0u8..6).prop_map(Step::Renew),
-            2 => (0u8..6).prop_map(Step::Unpublish),
-            2 => (0u8..3, 0u8..3, 0u8..6)
-                .prop_map(|(from, to, name)| Step::Replicate { from, to, name }),
-            4 => (0u8..12).prop_map(Step::Advance),
-            2 => prop::option::of(4u8..16).prop_map(Step::Lease),
-        ]
-    }
-
-    /// Drives `steps` against a `replicas`-replica cluster and checks,
-    /// after every step and on every replica, that the index-backed
-    /// reaper returns exactly what a full scan of the entries would, and
-    /// that the index holds exactly the live records' deadlines.
-    fn deadline_index_tracks_a_full_scan(replicas: usize, steps: &[Step]) {
-        use crate::iface::catalog;
-        use crate::service::{Middleware, VirtualService};
-        use crate::vsr::VsrClient;
-
-        let sim = Sim::new(11);
-        let net = Network::ethernet(&sim);
-        let config = FederationConfig {
-            shards: 4,
-            replicas,
-            replication: 2,
-            ..FederationConfig::default()
-        };
-        let (cluster, _map) = start_replicas(&net, &config, &Tracer::new("vsr-cluster"));
-        let client = VsrClient::new(&net, net.attach("pcm"), cluster[0].node);
-        let name = |i: u8| format!("svc-{i}");
-
-        for (n, step) in steps.iter().enumerate() {
-            match step {
-                Step::Publish(i) => {
-                    let svc =
-                        VirtualService::new(name(*i), catalog::lamp(), Middleware::X10, "x10-gw");
-                    client.publish(&svc).unwrap();
-                }
-                Step::Renew(i) => {
-                    client.renew(&name(*i)).unwrap();
-                }
-                Step::Unpublish(i) => {
-                    client.unpublish(&name(*i)).unwrap();
-                }
-                Step::Replicate { from, to, name: i } => {
-                    let (from, to) = (
-                        &cluster[*from as usize % replicas],
-                        &cluster[*to as usize % replicas],
-                    );
-                    let entry = from
-                        .state
-                        .lock()
-                        .entries
-                        .get(&name(*i))
-                        .map(|e| e.to_value(&name(*i)));
-                    if let Some(entry) = entry {
-                        let call = RpcCall::new(VSR_NS, "replicate")
-                            .arg("entries", Value::List(vec![entry]));
-                        from.client.call(to.node, &call).unwrap();
-                    }
-                }
-                Step::Advance(secs) => sim.advance(SimDuration::from_secs(u64::from(*secs))),
-                Step::Lease(secs) => {
-                    let lease = secs.map(|s| SimDuration::from_secs(u64::from(s)));
-                    for r in &cluster {
-                        r.state.lock().lease = lease;
-                    }
-                }
-            }
-            let now = sim.now();
-            for r in &cluster {
-                let mut st = r.state.lock();
-                let live: BTreeSet<(SimTime, String)> = st
-                    .entries
-                    .iter()
-                    .filter_map(|(name, e)| e.deadline().map(|at| (at, name.clone())))
-                    .collect();
-                assert_eq!(st.deadlines, live, "step {n} ({step:?}): index drifted");
-                let want = scan_due(&st, now);
-                assert_eq!(
-                    st.expire_due(now),
-                    want,
-                    "step {n} ({step:?}): reaper disagrees"
-                );
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn deadline_index_equals_a_full_scan_on_one_replica(
-            steps in proptest::collection::vec(arb_step(), 1..40),
-        ) {
-            deadline_index_tracks_a_full_scan(1, &steps);
-        }
-
-        #[test]
-        fn deadline_index_equals_a_full_scan_on_three_replicas(
-            steps in proptest::collection::vec(arb_step(), 1..40),
-        ) {
-            deadline_index_tracks_a_full_scan(3, &steps);
-        }
     }
 }

@@ -174,9 +174,9 @@ impl Vsr {
             .iter()
             .map(|r| {
                 let st = r.state.lock();
-                st.entries()
-                    .values()
-                    .filter(|e| {
+                st.entries
+                    .iter()
+                    .filter(|(_, e)| {
                         matches!(e.kind, federation::EntryKind::Record(_))
                             && map.primary(e.shard) == r.node
                     })
@@ -884,7 +884,7 @@ mod tests {
                 .iter()
                 .map(|r| {
                     let st = r.state.lock();
-                    let entry = &st.entries()["hall-lamp"];
+                    let entry = &st.entries["hall-lamp"];
                     match &entry.kind {
                         federation::EntryKind::Record(rec) => (entry.version, rec.expires_at),
                         other => panic!("hall-lamp is not live: {other:?}"),

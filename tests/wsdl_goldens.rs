@@ -4,8 +4,9 @@
 //! that `ServiceDescription` used before its writer was streamed. Every
 //! publish carries this document as a SOAP argument, so its bytes are
 //! wire bytes: the streamed writer must reproduce them exactly, for
-//! every catalog interface and for names and endpoints that need XML
-//! escaping, and the borrowed-tier reader must parse them back.
+//! every catalog interface, for an interface without operations and for
+//! names and endpoints that need XML escaping, and the borrowed-tier
+//! reader must parse them back.
 
 use metaware::{catalog, OpSig, ServiceInterface, TypeTag};
 use wsdl::ServiceDescription;
@@ -72,6 +73,12 @@ fn cases() -> Vec<(&'static str, ServiceInterface, &'static str, &'static str)> 
             catalog::motion_sensor(),
             "vsg://x10-gw/hall-motion",
             include_str!("wsdl_goldens/hall-motion.xml"),
+        ),
+        (
+            "idle",
+            ServiceInterface::new("Idle"),
+            "vsg://x10-gw/idle",
+            include_str!("wsdl_goldens/idle.xml"),
         ),
         (
             "odd&<name>\"'",

@@ -122,8 +122,26 @@ run_parallel_determinism() {
 }
 
 run_bench() {
+    # The gate's own tests run first: a gate that stopped failing on
+    # drift, shape changes or missing reports would pass anything.
+    stage "bench gate self-test (scripts/test_bench_gate.py)"
+    python3 scripts/test_bench_gate.py
+
     stage "cargo bench --no-run (benches compile)"
     cargo bench --workspace --no-run -q
+
+    # The paper reproduction, E1-E7, E9 and E10: the any-to-any
+    # matrix, proxy generation, the Fig. 4 conversion path, the VSG
+    # protocol ablation, bridge scaling, event delivery, stack
+    # footprint, the universal remote and streams. Their assertions
+    # run here; they emit e*.json reports, which the gate below does
+    # not read.
+    for bench in e1_cross_matrix e2_proxygen e3_conversion_path e4_vsg_protocols \
+        e5_bridge_scaling e6_event_delivery e7_stack_footprint e9_universal_remote \
+        e10_streams; do
+        stage "$bench smoke (paper reproduction)"
+        cargo bench -p bench --bench "$bench" -- --test
+    done
 
     # E8 smoke run: VSR publish, resolve and find at 1..500 services.
     # Its cells are virtual time and records scanned, so a change to
@@ -200,7 +218,8 @@ run_bench() {
 
     # Compare the freshly emitted BENCH_*.json from the smoke runs
     # above against bench-baselines/ within a tolerance band. Fails on
-    # drift, shape change, or a fresh report with no baseline.
+    # drift, shape change, a fresh report with no baseline, or a
+    # baseline with no fresh report.
     stage "bench regression gate (scripts/bench_gate.py)"
     python3 scripts/bench_gate.py
 }

@@ -43,8 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wsdl::{Key, KeyedReference, UddiRegistry};
 
-/// The repository's SOAP namespace (same as the single-node VSR — a
-/// one-replica federation is wire-compatible with the original).
+/// The repository's SOAP namespace (the same for every replica).
 pub(crate) const VSR_NS: &str = "urn:vsg:repository";
 
 pub(crate) const TAX_MIDDLEWARE: &str = "uddi:middleware";
@@ -408,13 +407,7 @@ impl Entry {
                 middleware: v.field("middleware")?.as_str()?.to_owned(),
                 gateway: v.field("gateway")?.as_str()?.to_owned(),
                 wsdl: v.field("wsdl")?.as_str()?.to_owned(),
-                contexts: match v.field("contexts") {
-                    Some(Value::Record(fields)) => fields
-                        .iter()
-                        .filter_map(|(k, val)| val.as_str().map(|s| (k.clone(), s.to_owned())))
-                        .collect(),
-                    _ => Vec::new(),
-                },
+                contexts: contexts_from_value(v.field("contexts")),
                 expires_at: v
                     .field("expires_at")
                     .and_then(Value::as_int)
@@ -434,6 +427,18 @@ impl Entry {
                 kind,
             },
         ))
+    }
+}
+
+/// Decodes a record's `contexts` field: the string-valued pairs of a
+/// `Record`, anything else as no contexts.
+pub(crate) fn contexts_from_value(v: Option<&Value>) -> Vec<(String, String)> {
+    match v {
+        Some(Value::Record(fields)) => fields
+            .iter()
+            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -571,6 +576,37 @@ impl ReplicaState {
                 true
             }
         }
+    }
+
+    /// Merges a replication payload received from a peer: lists of
+    /// encoded entries and gateway-directory entries (either may be
+    /// absent; undecodable items are skipped). Returns how many items
+    /// were applied.
+    fn apply_payload(&mut self, entries: Option<&Value>, gateways: Option<&Value>) -> i64 {
+        let mut applied = 0i64;
+        if let Some(Value::List(items)) = entries {
+            for item in items {
+                if let Some((name, entry)) = Entry::from_value(item) {
+                    if self.apply_entry(&name, entry) {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        if let Some(Value::List(items)) = gateways {
+            for item in items {
+                if let (Some(name), Some(node), Some(version)) = (
+                    item.field("name").and_then(Value::as_str),
+                    item.field("node").and_then(Value::as_int),
+                    item.field("version").and_then(Version::from_value),
+                ) {
+                    if self.apply_gateway(name, node as u32, version) {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        applied
     }
 }
 
@@ -760,30 +796,10 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
     match call.method.as_str() {
         "shard_map" => return Ok(ctx.map.lock().to_value()),
         "replicate" => {
-            let mut st = ctx.state.lock();
-            let mut applied = 0i64;
-            if let Some(Value::List(items)) = call.get("entries") {
-                for item in items {
-                    if let Some((name, entry)) = Entry::from_value(item) {
-                        if st.apply_entry(&name, entry) {
-                            applied += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(Value::List(items)) = call.get("gateways") {
-                for item in items {
-                    if let (Some(name), Some(node), Some(version)) = (
-                        item.field("name").and_then(Value::as_str),
-                        item.field("node").and_then(Value::as_int),
-                        item.field("version").and_then(Version::from_value),
-                    ) {
-                        if st.apply_gateway(name, node as u32, version) {
-                            applied += 1;
-                        }
-                    }
-                }
-            }
+            let applied = ctx
+                .state
+                .lock()
+                .apply_payload(call.get("entries"), call.get("gateways"));
             return Ok(Value::Int(applied));
         }
         "sync_digest" => {
@@ -877,7 +893,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             }
             "publish" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call)?;
                 let expires_at = st.lease.map(|l| now + l);
                 let version = st.next_version(now);
                 let entry = Entry {
@@ -887,13 +903,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                         middleware: str_arg("middleware")?,
                         gateway: str_arg("gateway")?,
                         wsdl: str_arg("wsdl")?,
-                        contexts: match call.get("contexts") {
-                            Some(Value::Record(fields)) => fields
-                                .iter()
-                                .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
-                                .collect(),
-                            _ => Vec::new(),
-                        },
+                        contexts: contexts_from_value(call.get("contexts")),
                         expires_at,
                     }),
                 };
@@ -903,7 +913,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             }
             "unpublish" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call)?;
                 let found = matches!(
                     st.entries.get(&name).map(|e| &e.kind),
                     Some(EntryKind::Record(_))
@@ -919,7 +929,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             }
             "renew" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call)?;
                 let Some(EntryKind::Record(current)) = st.entries.get(&name).map(|e| &e.kind)
                 else {
                     return Ok(Value::Bool(false));
@@ -948,7 +958,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             }
             "resolve" => {
                 let name = str_arg("name")?;
-                route_read(ctx, call, &name)?;
+                hosted_shard(&ctx.map.lock(), ctx.node, call)?;
                 let svc = st
                     .registry
                     .find_service(&name, &[])
@@ -961,15 +971,17 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             "find" => {
                 let pattern = str_arg("pattern")?;
                 let middleware = str_arg("middleware")?;
+                let shard = hosted_shard(&ctx.map.lock(), ctx.node, call)?;
                 let categories: Vec<KeyedReference> = if middleware.is_empty() {
                     vec![]
                 } else {
                     vec![KeyedReference::new(TAX_MIDDLEWARE, &middleware)]
                 };
-                serve_inquiry(ctx, call, &st, &pattern, &categories)
+                Ok(serve_inquiry(&st, shard, &pattern, &categories))
             }
             "find_ctx" => {
                 let pattern = str_arg("pattern")?;
+                let shard = hosted_shard(&ctx.map.lock(), ctx.node, call)?;
                 let categories: Vec<KeyedReference> = match call.get("contexts") {
                     Some(Value::Record(fields)) => fields
                         .iter()
@@ -980,31 +992,17 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                         .collect(),
                     _ => Vec::new(),
                 };
-                serve_inquiry(ctx, call, &st, &pattern, &categories)
+                Ok(serve_inquiry(&st, shard, &pattern, &categories))
             }
-            "count" => match call.get("shard").and_then(Value::as_int) {
-                Some(shard) => {
-                    let shard = {
-                        let map = ctx.map.lock();
-                        let shard = shard as u32 % map.shard_count();
-                        if !map.hosts(shard, ctx.node) {
-                            let primary = map.primary(shard);
-                            return Err(MetaError::MovedShard {
-                                shard,
-                                node: primary.0,
-                            });
-                        }
-                        shard
-                    };
-                    let n = st
-                        .entries
-                        .values()
-                        .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record(_)))
-                        .count();
-                    Ok(Value::Int(n as i64))
-                }
-                None => Ok(Value::Int(st.registry.service_count() as i64)),
-            },
+            "count" => {
+                let shard = hosted_shard(&ctx.map.lock(), ctx.node, call)?;
+                let n = st
+                    .entries
+                    .values()
+                    .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record(_)))
+                    .count();
+                Ok(Value::Int(n as i64))
+            }
             other => Err(MetaError::Repository(format!(
                 "unknown VSR operation '{other}'"
             ))),
@@ -1033,105 +1031,72 @@ fn gateway_to_value(name: &str, node: u32, version: Version) -> Value {
     ])
 }
 
-/// Validates a write's routing: the shard must be hosted here, and the
-/// write must land on the shard's primary — unless the caller set the
-/// `promote` flag (it could not reach the primary), in which case this
-/// backup promotes itself before accepting.
-fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
-    let mut map = ctx.map.lock();
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => s as u32 % map.shard_count(),
-        None => map.shard_of(name),
-    };
-    if !map.hosts(shard, ctx.node) {
-        let primary = map.primary(shard);
+/// The shard a client-plane request names in its required `shard`
+/// argument, reduced modulo the shard count. A replica that does not
+/// host it answers `MovedShard`, naming the shard's primary. Reads
+/// need nothing more: any member of the preference list may answer,
+/// so a backup serves reads during a primary outage.
+fn hosted_shard(map: &ShardMap, node: NodeId, call: &RpcCall) -> Result<u32, MetaError> {
+    let shard = shard_arg(call)? % map.shard_count();
+    if !map.hosts(shard, node) {
         return Err(MetaError::MovedShard {
             shard,
-            node: primary.0,
+            node: map.primary(shard).0,
         });
-    }
-    if map.primary(shard) != ctx.node {
-        let promote = call
-            .get("promote")
-            .and_then(Value::as_bool)
-            .unwrap_or(false);
-        if !promote {
-            let primary = map.primary(shard);
-            return Err(MetaError::MovedShard {
-                shard,
-                node: primary.0,
-            });
-        }
-        if map.promote(shard, ctx.node) {
-            let version = map.version();
-            let node = ctx.node.0;
-            drop(map);
-            ctx.note(sim, || {
-                format!("promoted n{node} to primary of shard {shard} (map v{version})")
-            });
-            return Ok(shard);
-        }
     }
     Ok(shard)
 }
 
-/// Validates a read's routing: any member of the shard's preference
-/// list may answer (a backup serves reads during a primary outage).
-fn route_read(ctx: &ReplicaCtx, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
-    let map = ctx.map.lock();
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => s as u32 % map.shard_count(),
-        None => map.shard_of(name),
-    };
-    if !map.hosts(shard, ctx.node) {
-        let primary = map.primary(shard);
+/// Validates a write's routing: on top of [`hosted_shard`], the write
+/// must land on the shard's primary, unless the caller set the
+/// `promote` flag (it could not reach the primary), in which case this
+/// backup promotes itself before accepting.
+fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<u32, MetaError> {
+    let mut map = ctx.map.lock();
+    let shard = hosted_shard(&map, ctx.node, call)?;
+    if map.primary(shard) == ctx.node {
+        return Ok(shard);
+    }
+    if !call
+        .get("promote")
+        .and_then(Value::as_bool)
+        .unwrap_or(false)
+    {
         return Err(MetaError::MovedShard {
             shard,
-            node: primary.0,
+            node: map.primary(shard).0,
+        });
+    }
+    if map.promote(shard, ctx.node) {
+        let version = map.version();
+        let node = ctx.node.0;
+        drop(map);
+        ctx.note(sim, || {
+            format!("promoted n{node} to primary of shard {shard} (map v{version})")
         });
     }
     Ok(shard)
 }
 
 /// Serves a `find`/`find_ctx` inquiry from the local registry mirror,
-/// filtered to the requested shard when one is given (the shard-aware
-/// client fans an inquiry out to every shard and merges).
+/// filtered to one shard (the client fans an inquiry out to every
+/// shard and merges).
 fn serve_inquiry(
-    ctx: &ReplicaCtx,
-    call: &RpcCall,
     st: &ReplicaState,
+    shard: u32,
     pattern: &str,
     categories: &[KeyedReference],
-) -> Result<Value, MetaError> {
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => {
-            let map = ctx.map.lock();
-            let shard = s as u32 % map.shard_count();
-            if !map.hosts(shard, ctx.node) {
-                let primary = map.primary(shard);
-                return Err(MetaError::MovedShard {
-                    shard,
-                    node: primary.0,
-                });
-            }
-            Some(shard)
-        }
-        None => None,
-    };
+) -> Value {
     let services = st.registry.find_service(pattern, categories);
     let mut out = Vec::with_capacity(services.len());
     for svc in services {
-        if let Some(want) = shard {
-            match st.entries.get(&svc.name) {
-                Some(e) if e.shard == want => {}
-                _ => continue,
+        if st.entries.get(&svc.name).is_some_and(|e| e.shard == shard) {
+            if let Some(v) = service_to_value(&st.registry, svc) {
+                out.push(v);
             }
         }
-        if let Some(v) = service_to_value(&st.registry, svc) {
-            out.push(v);
-        }
     }
-    Ok(Value::List(out))
+    Value::List(out)
 }
 
 // ---- anti-entropy ----------------------------------------------------------
@@ -1302,25 +1267,9 @@ fn sync_pair(
                 .arg("gw_names", Value::List(need_gw)),
         );
         if let Ok(v) = fetched {
-            let mut st = rep.state.lock();
-            if let Some(Value::List(items)) = v.field("records") {
-                for item in items {
-                    if let Some((name, entry)) = Entry::from_value(item) {
-                        st.apply_entry(&name, entry);
-                    }
-                }
-            }
-            if let Some(Value::List(items)) = v.field("gateways") {
-                for item in items {
-                    if let (Some(name), Some(node), Some(version)) = (
-                        item.field("name").and_then(Value::as_str),
-                        item.field("node").and_then(Value::as_int),
-                        item.field("version").and_then(Version::from_value),
-                    ) {
-                        st.apply_gateway(name, node as u32, version);
-                    }
-                }
-            }
+            rep.state
+                .lock()
+                .apply_payload(v.field("records"), v.field("gateways"));
         }
     }
 

@@ -435,70 +435,62 @@ impl SmartHome {
         let Some(spec) = self.deferred.take() else {
             return Ok(());
         };
+        self.build_islands(&spec)?;
+        self.arm_heartbeats(spec.heartbeat);
+        Ok(())
+    }
+
+    /// Builds the middleware islands `spec` enables and installs its
+    /// gateway policies: the part of a home a lazy build defers.
+    fn build_islands(&mut self, spec: &SmartHomeBuilder) -> Result<(), MetaError> {
+        let (sim, backbone, vsr, protocol) = (&self.sim, &self.backbone, &self.vsr, &spec.protocol);
         if spec.jini {
-            self.jini = Some(build_jini(
-                &self.sim,
-                &self.backbone,
-                &self.vsr,
-                &spec.protocol,
-                spec.auto_import,
-            )?);
+            self.jini = Some(build_jini(sim, backbone, vsr, protocol, spec.auto_import)?);
         }
         if spec.havi {
-            self.havi = Some(build_havi(
-                &self.sim,
-                &self.backbone,
-                &self.vsr,
-                &spec.protocol,
-                spec.auto_import,
-            )?);
+            self.havi = Some(build_havi(sim, backbone, vsr, protocol, spec.auto_import)?);
         }
         if spec.x10 {
             self.x10 = Some(build_x10(
-                &self.sim,
-                &self.backbone,
-                &self.vsr,
-                &spec.protocol,
+                sim,
+                backbone,
+                vsr,
+                protocol,
                 spec.lossless_powerline,
                 spec.auto_import,
             )?);
         }
         if spec.mail {
-            self.mail = Some(build_mail(
-                &self.sim,
-                &self.backbone,
-                &self.vsr,
-                &spec.protocol,
-            )?);
+            self.mail = Some(build_mail(sim, backbone, vsr, protocol)?);
         }
         if spec.upnp {
-            self.upnp = Some(build_upnp(
-                &self.sim,
-                &self.backbone,
-                &self.vsr,
-                &spec.protocol,
-                spec.auto_import,
-            )?);
+            self.upnp = Some(build_upnp(sim, backbone, vsr, protocol, spec.auto_import)?);
         }
-        if let Some(policy) = spec.resilience {
-            self.set_resilience(policy);
+        if let Some(policy) = &spec.resilience {
+            self.set_resilience(policy.clone());
         }
-        if let Some(policy) = spec.batching {
-            self.set_batching(policy);
-        }
-        if let Some(period) = spec.heartbeat {
-            self.heartbeats = self
-                .gateways()
-                .into_iter()
-                .cloned()
-                .map(|vsg| {
-                    self.sim.every(period, move |_sim| {
-                        let _ = vsg.republish_all();
-                    })
-                })
-                .collect();
+        if let Some(policy) = &spec.batching {
+            self.set_batching(policy.clone());
         }
         Ok(())
+    }
+
+    /// Arms one timer per gateway that re-registers it and re-publishes
+    /// its exports every `period` (none without a period).
+    fn arm_heartbeats(&mut self, period: Option<SimDuration>) {
+        let Some(period) = period else {
+            return;
+        };
+        self.heartbeats = self
+            .gateways()
+            .into_iter()
+            .cloned()
+            .map(|vsg| {
+                self.sim.every(period, move |_sim| {
+                    let _ = vsg.republish_all();
+                })
+            })
+            .collect();
     }
 }
 
@@ -700,62 +692,28 @@ impl SmartHomeBuilder {
 
         // A lazy build keeps the whole island spec around and builds
         // nothing below the world layer; `materialize` pays the rest.
-        let deferred = if self.lazy { Some(self.clone()) } else { None };
+        let mut home = SmartHome {
+            sim,
+            backbone,
+            vsr,
+            jini: None,
+            havi: None,
+            x10: None,
+            mail: None,
+            upnp: None,
+            cloud: None,
+            heartbeats: Vec::new(),
+            vsr_sync_timer: None,
+            flight: Mutex::new(FlightRecorder::new(SamplePolicy::default())),
+            deferred: self.lazy.then(|| self.clone()),
+        };
+        if !self.lazy {
+            home.build_islands(&self)?;
+        }
 
-        let jini = if self.jini && !self.lazy {
-            Some(build_jini(
-                &sim,
-                &backbone,
-                &vsr,
-                &self.protocol,
-                self.auto_import,
-            )?)
-        } else {
-            None
-        };
-        let havi = if self.havi && !self.lazy {
-            Some(build_havi(
-                &sim,
-                &backbone,
-                &vsr,
-                &self.protocol,
-                self.auto_import,
-            )?)
-        } else {
-            None
-        };
-        let x10 = if self.x10 && !self.lazy {
-            Some(build_x10(
-                &sim,
-                &backbone,
-                &vsr,
-                &self.protocol,
-                self.lossless_powerline,
-                self.auto_import,
-            )?)
-        } else {
-            None
-        };
-        let mail = if self.mail && !self.lazy {
-            Some(build_mail(&sim, &backbone, &vsr, &self.protocol)?)
-        } else {
-            None
-        };
-        let upnp = if self.upnp && !self.lazy {
-            Some(build_upnp(
-                &sim,
-                &backbone,
-                &vsr,
-                &self.protocol,
-                self.auto_import,
-            )?)
-        } else {
-            None
-        };
-
-        let cloud = if let Some(cfg) = &self.cloud {
+        if let Some(cfg) = &self.cloud {
             let island = CloudIsland::build(
-                &sim,
+                &home.sim,
                 &format!("home-{}", self.island),
                 cfg.clone(),
                 self.fleet_hint,
@@ -780,33 +738,9 @@ impl SmartHomeBuilder {
                     }
                 }
             }
-            Some(island)
-        } else {
-            None
-        };
+            home.cloud = Some(island);
+        }
 
-        let home = SmartHome {
-            sim,
-            backbone,
-            vsr,
-            jini,
-            havi,
-            x10,
-            mail,
-            upnp,
-            cloud,
-            heartbeats: Vec::new(),
-            vsr_sync_timer: None,
-            flight: Mutex::new(FlightRecorder::new(SamplePolicy::default())),
-            deferred,
-        };
-        if let Some(policy) = self.resilience {
-            home.set_resilience(policy);
-        }
-        if let Some(policy) = self.batching {
-            home.set_batching(policy);
-        }
-        let mut home = home;
         if self.vsr_replicas > 1 {
             let vsr = home.vsr.clone();
             home.vsr_sync_timer = Some(home.sim.every_with_phase(
@@ -817,18 +751,7 @@ impl SmartHomeBuilder {
                 },
             ));
         }
-        if let Some(period) = self.heartbeat {
-            home.heartbeats = home
-                .gateways()
-                .into_iter()
-                .cloned()
-                .map(|vsg| {
-                    home.sim.every(period, move |_sim| {
-                        let _ = vsg.republish_all();
-                    })
-                })
-                .collect();
-        }
+        home.arm_heartbeats(self.heartbeat);
         Ok(home)
     }
 }

@@ -101,7 +101,7 @@ pub use pcm::cloud::{
 pub use pcm::ProtocolConversionManager;
 pub use protocol::{CompactBinary, SipLike, Soap11, VsgProtocol, VsgRequest};
 pub use proxygen::{generate, GeneratedProxy, ProxyGenCost, ProxyTarget};
-pub use rescache::{ResolutionCache, ShardMapCache};
+pub use rescache::ResolutionCache;
 pub use resilience::{BreakerBank, BreakerState, CircuitBreaker, ResiliencePolicy};
 pub use service::{Middleware, ServiceInvoker, VirtualService};
 pub use trace::{HopKind, Span, SpanId, TraceContext, TraceId, Tracer};

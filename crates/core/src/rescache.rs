@@ -13,7 +13,6 @@ use crate::metrics::CacheStats;
 use crate::vsr::ServiceRecord;
 use simnet::NodeId;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Default per-gateway capacity: generous for a home's service count
 /// while still bounding a pathological churn workload.
@@ -271,97 +270,6 @@ impl ResolutionCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-}
-
-/// Counters for a [`ShardMapCache`] (test and metrics introspection).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardMapCacheStats {
-    /// Successful map refreshes stored via [`ShardMapCache::put`].
-    pub refreshes: u64,
-    /// Invalidations (typically after a `MovedShard` redirect).
-    pub invalidations: u64,
-}
-
-struct ShardMapCacheInner {
-    current: Option<Arc<crate::federation::ShardMap>>,
-    /// The most recent map ever seen, kept across invalidations: even
-    /// a stale map names replicas worth asking for a fresh one, which
-    /// is how a client rides out the bootstrap replica being down.
-    last: Option<Arc<crate::federation::ShardMap>>,
-    stats: ShardMapCacheStats,
-}
-
-/// A client-side cache of the federation's [`ShardMap`]. Shared (via
-/// `Arc`) between the clones of one `VsrClient`, so a redirect
-/// observed on one cloned handle refreshes routing for all of them.
-///
-/// [`ShardMap`]: crate::federation::ShardMap
-pub struct ShardMapCache {
-    inner: parking_lot::Mutex<ShardMapCacheInner>,
-}
-
-impl Default for ShardMapCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardMapCache {
-    /// An empty cache: the first routing decision must fetch a map.
-    pub fn new() -> ShardMapCache {
-        ShardMapCache {
-            inner: parking_lot::Mutex::new(ShardMapCacheInner {
-                current: None,
-                last: None,
-                stats: ShardMapCacheStats::default(),
-            }),
-        }
-    }
-
-    /// The trusted current map, if any.
-    pub fn get(&self) -> Option<Arc<crate::federation::ShardMap>> {
-        self.inner.lock().current.clone()
-    }
-
-    /// The current map or, failing that, the last map ever seen (no
-    /// longer trusted for routing, but still a source of candidate
-    /// replicas to ask for a fresh one).
-    pub fn peek(&self) -> Option<Arc<crate::federation::ShardMap>> {
-        let inner = self.inner.lock();
-        inner.current.clone().or_else(|| inner.last.clone())
-    }
-
-    /// Stores a freshly fetched map.
-    pub fn put(&self, map: Arc<crate::federation::ShardMap>) {
-        let mut inner = self.inner.lock();
-        inner.current = Some(map.clone());
-        inner.last = Some(map);
-        inner.stats.refreshes += 1;
-    }
-
-    /// Drops trust in the current map (a replica answered
-    /// `MovedShard`, so routing is stale) while keeping it reachable
-    /// via [`ShardMapCache::peek`].
-    pub fn invalidate(&self) {
-        let mut inner = self.inner.lock();
-        inner.current = None;
-        inner.stats.invalidations += 1;
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ShardMapCacheStats {
-        self.inner.lock().stats
-    }
-}
-
-impl std::fmt::Debug for ShardMapCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("ShardMapCache")
-            .field("cached", &inner.current.is_some())
-            .field("stats", &inner.stats)
-            .finish()
     }
 }
 

@@ -8,14 +8,13 @@
 //! on the backbone whose storage is a UDDI registry holding WSDL
 //! documents as tModels.
 //!
-//! Since this PR the "virtual database" is federated (see
+//! The "virtual database" is federated (see
 //! [`crate::federation`]): [`Vsr::start_federated`] brings up N
 //! replicas with the namespace consistently hashed across shards, and
 //! [`VsrClient`] routes each operation to the owning shard's replicas,
 //! caching the shard map and failing writes over (with promotion) when
 //! a primary is unreachable. [`Vsr::start`] remains the one-replica,
-//! one-shard special case and is wire- and behaviour-compatible with
-//! the original single-node repository.
+//! one-shard special case.
 
 use crate::error::MetaError;
 use crate::federation::{
@@ -24,7 +23,6 @@ use crate::federation::{
 use crate::iface::ServiceInterface;
 use crate::intern::Name;
 use crate::metrics::MetricsRegistry;
-use crate::rescache::ShardMapCache;
 use crate::resilience::BreakerBank;
 use crate::service::{Middleware, VirtualService};
 use crate::trace::{HopKind, Span, Tracer};
@@ -92,19 +90,12 @@ impl ServiceRecord {
         let wsdl_doc = v.field("wsdl")?.as_str()?;
         let parsed = minixml::parse_ref(wsdl_doc).ok()?;
         let desc = wsdl::ServiceDescription::from_xml(&parsed).ok()?;
-        let contexts = match v.field("contexts") {
-            Some(Value::Record(fields)) => fields
-                .iter()
-                .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
-                .collect(),
-            _ => Vec::new(),
-        };
         Some(ServiceRecord {
             name,
             middleware,
             gateway,
             interface: Arc::new(ServiceInterface::from_wsdl(&desc)),
-            contexts,
+            contexts: federation::contexts_from_value(v.field("contexts")),
         })
     }
 }
@@ -285,6 +276,19 @@ impl fmt::Debug for Vsr {
     }
 }
 
+/// A client's view of the shard map. Shared between the clones of one
+/// [`VsrClient`], so a redirect seen on one handle re-routes them all.
+#[derive(Debug, Default)]
+struct MapSlot {
+    /// The last map fetched. A `MovedShard` redirect stops it being
+    /// trusted for routing, but even a stale map names replicas worth
+    /// asking for a fresh one: that is how a client rides out its
+    /// bootstrap replica being down.
+    last: Option<Arc<ShardMap>>,
+    /// Whether `last` may route operations.
+    trusted: bool,
+}
+
 /// A client of the repository (used by gateways and PCMs). Shard-map
 /// aware: it learns the cluster topology from its bootstrap replica,
 /// caches it, routes each operation to the owning shard's preference
@@ -297,7 +301,7 @@ pub struct VsrClient {
     seed: NodeId,
     sim: Sim,
     tracer: Tracer,
-    map_cache: Arc<ShardMapCache>,
+    map_slot: Arc<Mutex<MapSlot>>,
     breakers: Arc<BreakerBank>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -317,7 +321,7 @@ impl VsrClient {
             seed: vsr,
             sim: net.sim().clone(),
             tracer: Tracer::new("vsr-client"),
-            map_cache: Arc::new(ShardMapCache::new()),
+            map_slot: Arc::default(),
             breakers: Arc::new(BreakerBank::new(
                 ROUTE_BREAKER_THRESHOLD,
                 SimDuration::from_millis(ROUTE_BREAKER_WINDOW_MS),
@@ -380,21 +384,45 @@ impl VsrClient {
         MetaError::transport("all VSR replicas unreachable", true)
     }
 
-    /// The cached shard map, fetching it if this client has none yet.
+    /// One breaker-gated round trip: `None` when `node`'s breaker is
+    /// open (the walk skips it). A transport failure trips the breaker;
+    /// any answer closes it, a domain error or `MovedShard` included.
+    fn attempt(
+        &self,
+        node: NodeId,
+        call: impl FnOnce() -> RpcCall,
+    ) -> Option<Result<Value, MetaError>> {
+        if !self.breakers.admit(node, self.sim.now()) {
+            return None;
+        }
+        let result = self.call_node(node, &call());
+        match &result {
+            Err(e) if e.is_transport_failure() => self.breakers.on_failure(node, self.sim.now()),
+            _ => self.breakers.on_success(node),
+        }
+        Some(result)
+    }
+
+    /// The trusted shard map, fetching it if this client has none yet.
     fn map(&self) -> Result<Arc<ShardMap>, MetaError> {
-        match self.map_cache.get() {
-            Some(map) => Ok(map),
-            None => self.refresh_map(),
+        let slot = self.map_slot.lock();
+        match &slot.last {
+            Some(map) if slot.trusted => Ok(map.clone()),
+            _ => {
+                drop(slot);
+                self.refresh_map()
+            }
         }
     }
 
-    /// Fetches a fresh shard map from the first reachable replica:
-    /// the bootstrap node first, then every replica the last-known map
-    /// named (so a client survives its bootstrap replica dying).
+    /// Fetches a fresh shard map from the first replica that answers
+    /// with one: the bootstrap node first, then every replica the last
+    /// map seen named (so a client survives its bootstrap replica
+    /// dying).
     fn refresh_map(&self) -> Result<Arc<ShardMap>, MetaError> {
         let mut candidates: Vec<NodeId> = vec![self.seed];
-        if let Some(stale) = self.map_cache.peek() {
-            for n in stale.nodes() {
+        if let Some(last) = self.map_slot.lock().last.clone() {
+            for n in last.nodes() {
                 if !candidates.contains(&n) {
                     candidates.push(n);
                 }
@@ -402,35 +430,26 @@ impl VsrClient {
         }
         let mut last: Option<MetaError> = None;
         for node in candidates {
-            if !self.breakers.admit(node, self.sim.now()) {
-                continue;
-            }
-            match self.call_node(node, &RpcCall::new(VSR_NS, "shard_map")) {
-                Ok(v) => {
-                    self.breakers.on_success(node);
-                    match ShardMap::from_value(&v) {
-                        Some(map) => {
-                            let map = Arc::new(map);
-                            self.map_cache.put(map.clone());
-                            if let Some(m) = &self.metrics {
-                                m.record_shard_map_refresh();
-                            }
-                            self.federation_note(|| {
-                                format!("shard map v{} from n{}", map.version(), node.0)
-                            });
-                            return Ok(map);
+            match self.attempt(node, || RpcCall::new(VSR_NS, "shard_map")) {
+                None => {}
+                Some(Ok(v)) => match ShardMap::from_value(&v) {
+                    Some(map) => {
+                        let map = Arc::new(map);
+                        *self.map_slot.lock() = MapSlot {
+                            last: Some(map.clone()),
+                            trusted: true,
+                        };
+                        if let Some(m) = &self.metrics {
+                            m.record_shard_map_refresh();
                         }
-                        None => last = Some(MetaError::Repository("bad shard_map reply".into())),
+                        self.federation_note(|| {
+                            format!("shard map v{} from n{}", map.version(), node.0)
+                        });
+                        return Ok(map);
                     }
-                }
-                Err(e) if e.is_transport_failure() => {
-                    self.breakers.on_failure(node, self.sim.now());
-                    last = Some(e);
-                }
-                Err(e) => {
-                    self.breakers.on_success(node);
-                    last = Some(e);
-                }
+                    None => last = Some(MetaError::Repository("bad shard_map reply".into())),
+                },
+                Some(Err(e)) => last = Some(e),
             }
         }
         Err(last.unwrap_or_else(Self::unreachable))
@@ -440,6 +459,7 @@ impl VsrClient {
     /// list (skipping replicas whose breaker is open), failing over on
     /// transport errors — a write landing on a backup carries a
     /// promotion request — and refreshing the map on `MovedShard`.
+    /// Any other error from a live replica is final.
     fn route(
         &self,
         shard: u32,
@@ -455,12 +475,9 @@ impl VsrClient {
             let prefs: Vec<NodeId> = map.replicas_for(shard).to_vec();
             let mut last_transport: Option<MetaError> = None;
             for (i, &node) in prefs.iter().enumerate() {
-                if !self.breakers.admit(node, self.sim.now()) {
-                    continue;
-                }
-                match self.call_node(node, &build(write && i > 0)) {
-                    Ok(v) => {
-                        self.breakers.on_success(node);
+                match self.attempt(node, || build(write && i > 0)) {
+                    None => {}
+                    Some(Ok(v)) => {
                         if i > 0 {
                             if let Some(m) = &self.metrics {
                                 m.record_vsr_failover();
@@ -471,11 +488,10 @@ impl VsrClient {
                         }
                         return Ok(v);
                     }
-                    Err(MetaError::MovedShard { shard: s, node: to }) => {
+                    Some(Err(MetaError::MovedShard { shard: s, node: to })) => {
                         // The replica is alive but disowns the shard:
                         // our map is stale. Refresh and re-route.
-                        self.breakers.on_success(node);
-                        self.map_cache.invalidate();
+                        self.map_slot.lock().trusted = false;
                         if redirects >= MAX_REDIRECTS {
                             return Err(MetaError::Repository(format!(
                                 "shard {s} routing did not settle (last redirect -> n{to})"
@@ -488,16 +504,8 @@ impl VsrClient {
                         map = self.refresh_map()?;
                         continue 'with_map;
                     }
-                    Err(e) if e.is_transport_failure() => {
-                        self.breakers.on_failure(node, self.sim.now());
-                        last_transport = Some(e);
-                    }
-                    Err(e) => {
-                        // The replica answered (liveness proven): a
-                        // domain error is final, not worth a failover.
-                        self.breakers.on_success(node);
-                        return Err(e);
-                    }
+                    Some(Err(e)) if e.is_transport_failure() => last_transport = Some(e),
+                    Some(Err(e)) => return Err(e),
                 }
             }
             return Err(last_transport.unwrap_or_else(Self::unreachable));
@@ -512,25 +520,14 @@ impl VsrClient {
         let mut ok = false;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            if !self.breakers.admit(target, self.sim.now()) {
-                continue;
-            }
-            let call = RpcCall::new(VSR_NS, "register_gateway")
-                .arg("name", name)
-                .arg("node", i64::from(node.0));
-            match self.call_node(target, &call) {
-                Ok(_) => {
-                    self.breakers.on_success(target);
-                    ok = true;
-                }
-                Err(e) => {
-                    if e.is_transport_failure() {
-                        self.breakers.on_failure(target, self.sim.now());
-                    } else {
-                        self.breakers.on_success(target);
-                    }
-                    last = Some(e);
-                }
+            match self.attempt(target, || {
+                RpcCall::new(VSR_NS, "register_gateway")
+                    .arg("name", name)
+                    .arg("node", i64::from(node.0))
+            }) {
+                None => {}
+                Some(Ok(_)) => ok = true,
+                Some(Err(e)) => last = Some(e),
             }
         }
         if ok {
@@ -548,29 +545,18 @@ impl VsrClient {
         let map = self.map()?;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            if !self.breakers.admit(target, self.sim.now()) {
-                continue;
-            }
-            match self.call_node(
-                target,
-                &RpcCall::new(VSR_NS, "gateway_node").arg("name", name),
-            ) {
-                Ok(v) => {
-                    self.breakers.on_success(target);
+            match self.attempt(target, || {
+                RpcCall::new(VSR_NS, "gateway_node").arg("name", name)
+            }) {
+                None => {}
+                Some(Ok(v)) => {
                     return v
                         .as_int()
                         .and_then(|n| u32::try_from(n).ok())
                         .map(NodeId)
-                        .ok_or_else(|| MetaError::Repository("bad gateway_node reply".into()));
+                        .ok_or_else(|| MetaError::Repository("bad gateway_node reply".into()))
                 }
-                Err(e) if e.is_transport_failure() => {
-                    self.breakers.on_failure(target, self.sim.now());
-                    last = Some(e);
-                }
-                Err(e) => {
-                    self.breakers.on_success(target);
-                    last = Some(e);
-                }
+                Some(Err(e)) => last = Some(e),
             }
         }
         Err(last.unwrap_or_else(Self::unreachable))
@@ -731,7 +717,7 @@ impl VsrClient {
 mod tests {
     use super::*;
     use crate::iface::catalog;
-    use simnet::Sim;
+    use simnet::{FaultPlan, Sim};
 
     fn world() -> (Sim, Network, Vsr, VsrClient) {
         let sim = Sim::new(1);
@@ -1007,5 +993,84 @@ mod tests {
         assert!(client.renew("hall-lamp").is_ok());
         assert_eq!(vsr.shard_map().primary(shard), backup);
         assert_eq!(client.resolve("hall-lamp").unwrap().name, "hall-lamp");
+    }
+
+    /// The rules of the client's replica walks on a 3-replica,
+    /// 8-shard cluster: (a) a map refresh outlives the bootstrap
+    /// replica, (b) the gateway directory works with a replica down,
+    /// (c) a domain error from a live primary is final.
+    #[test]
+    fn replica_walks_keep_their_rules() {
+        let sim = Sim::new(11);
+        let net = Network::ethernet(&sim);
+        let vsr = Vsr::start_federated(
+            &net,
+            &FederationConfig {
+                shards: 8,
+                replicas: 3,
+                replication: 2,
+                ..FederationConfig::default()
+            },
+        );
+        let metrics = Arc::new(MetricsRegistry::new());
+        let client =
+            VsrClient::new(&net, net.attach("pcm"), vsr.node()).with_metrics(metrics.clone());
+
+        // (a) A service on a shard the bootstrap replica does not host.
+        let map = vsr.shard_map();
+        let name = (0..)
+            .map(|i| format!("svc-{i}"))
+            .find(|n| !map.hosts(map.shard_of(n), vsr.node()))
+            .unwrap();
+        let shard = map.shard_of(&name);
+        let backup = map.replicas_for(shard)[1];
+        client
+            .publish(&VirtualService::new(
+                &name,
+                catalog::lamp(),
+                Middleware::X10,
+                "x10-gw",
+            ))
+            .unwrap();
+        assert_eq!(metrics.snapshot().shard_map_refreshes, 1);
+        // The cluster promotes the backup behind the client's back and
+        // the bootstrap replica crashes: the renew is redirected, and
+        // the refresh it needs comes from a replica of the last map.
+        vsr.map.lock().promote(shard, backup);
+        let now = sim.now();
+        net.set_fault_plan(FaultPlan::new().node_down(
+            vsr.node(),
+            now,
+            now + SimDuration::from_secs(60),
+        ));
+        assert!(client.renew(&name).unwrap());
+        assert_eq!(metrics.snapshot().shard_map_refreshes, 2);
+        assert_eq!(vsr.shard_map().primary(shard), backup);
+
+        // (b) The first replica in map order is down.
+        let down = vsr.shard_map().nodes()[0];
+        let now = sim.now();
+        net.set_fault_plan(FaultPlan::new().node_down(down, now, now + SimDuration::from_secs(60)));
+        let gw_node = net.attach("x10-gw");
+        client.register_gateway("x10-gw", gw_node).unwrap();
+        assert_eq!(client.gateway_node("x10-gw").unwrap(), gw_node);
+
+        // (c) Every replica is up: the live primary's UnknownService
+        // comes back after one round trip, with no failover.
+        net.clear_fault_plan();
+        let tracer = Tracer::new("vsr-test");
+        tracer.set_enabled(true);
+        let traced = client.clone().with_tracer(tracer.clone());
+        assert!(matches!(
+            traced.resolve("ghost"),
+            Err(MetaError::UnknownService(_))
+        ));
+        let lookups = tracer
+            .take_spans()
+            .iter()
+            .filter(|s| s.kind == HopKind::VsrLookup)
+            .count();
+        assert_eq!(lookups, 1, "no backup asked");
+        assert_eq!(metrics.snapshot().vsr_failovers, 0);
     }
 }

@@ -17,16 +17,15 @@ default 0.25) — the band is symmetric because a metric that silently
 doubled is as suspicious as one that halved. Label cells must match
 exactly; any header/row-count mismatch is a shape change and fails hard.
 
-Only baselines with a fresh counterpart are compared (ci.sh smokes a
-subset of the benches), but at least one comparison must happen — and
-every *fresh* ``BENCH_*.json`` must have a baseline: an emitted report
-nobody checked a baseline in for would otherwise be silently ungated.
+Baselines and fresh reports must pair up exactly: a baseline with no
+fresh report means its bench smoke did not run (or stopped emitting),
+and a fresh report with no baseline would ride ungated. Either fails.
 
 On drift the gate prints a per-cell table (file, row, column, old, new,
 drift, tolerance) so the offending cells read off directly.
 
-Exit status: 0 green, 1 regression/shape change/missing baseline/
-nothing compared.
+Usage: ``bench_gate.py [BASELINE_DIR [FRESH_DIR]]``. Exit status: 0
+green, 1 regression/shape change/missing baseline/missing fresh report.
 """
 
 import json
@@ -104,26 +103,24 @@ def print_drift_table(drifts):
             print(f"bench gate: {'-' * (sum(widths) + 2 * (len(widths) - 1))}", file=sys.stderr)
 
 
-def main():
-    root = Path(__file__).resolve().parent.parent
-    baseline_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else root / "bench-baselines"
-    fresh_dir = (
-        Path(sys.argv[2])
-        if len(sys.argv) > 2
-        else root / "crates" / "bench" / "target" / "bench-results"
-    )
-    tolerance = float(os.environ.get("BENCH_TOLERANCE", "0.25"))
-
+def gate(baseline_dir, fresh_dir, tolerance):
+    """Compares every baseline in ``baseline_dir`` with its fresh
+    report in ``fresh_dir``; returns the exit status."""
     baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         print(f"bench gate: no BENCH_*.json baselines in {baseline_dir}", file=sys.stderr)
         return 1
 
-    compared, skipped, failures, drifts = 0, [], [], []
+    compared, failures, drifts = 0, [], []
     for base_path in baselines:
         fresh_path = fresh_dir / base_path.name
         if not fresh_path.exists():
-            skipped.append(base_path.name)
+            # A gated report that was not re-emitted: its smoke run is
+            # missing from the bench stage, or it stopped emitting.
+            print(f"bench gate: {base_path.name}: FAIL (no fresh run)", file=sys.stderr)
+            failures.append(
+                f"{base_path.name}: has a baseline but no fresh report in {fresh_dir}"
+            )
             continue
         with open(base_path) as f:
             base = json.load(f)
@@ -149,21 +146,28 @@ def main():
             f"check one in under {baseline_dir}"
         )
 
-    for name in skipped:
-        print(f"bench gate: {name}: skipped (no fresh run)")
     for failure in failures:
         print(f"bench gate: REGRESSION: {failure}", file=sys.stderr)
     if drifts:
         print("bench gate: cells outside the band:", file=sys.stderr)
         print_drift_table(drifts)
 
-    if compared == 0:
-        print("bench gate: nothing compared — did the bench smoke stage run?", file=sys.stderr)
-        return 1
     if failures or drifts:
         return 1
     print(f"bench gate: green ({compared} compared, tolerance {tolerance:.0%})")
     return 0
+
+
+def main():
+    root = Path(__file__).resolve().parent.parent
+    baseline_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else root / "bench-baselines"
+    fresh_dir = (
+        Path(sys.argv[2])
+        if len(sys.argv) > 2
+        else root / "crates" / "bench" / "target" / "bench-results"
+    )
+    tolerance = float(os.environ.get("BENCH_TOLERANCE", "0.25"))
+    return gate(baseline_dir, fresh_dir, tolerance)
 
 
 if __name__ == "__main__":

@@ -362,3 +362,81 @@ fn vsr_lease_expiry_racing_renew_does_not_resurrect() {
     assert!(client.resolve("hall-lamp").is_ok());
     assert_eq!(vsr.service_count(), 1);
 }
+
+/// Every client-plane repository operation requires a `shard`
+/// argument: a raw SOAP request without one, or with a negative one,
+/// gets a typed `Repository` fault from every replica, never an
+/// unfiltered answer or a `MovedShard` redirect.
+#[test]
+fn vsr_rejects_client_plane_requests_without_a_valid_shard() {
+    use metaware::{catalog, FederationConfig, VirtualService, Vsr, VsrClient};
+    use simnet::{Network, Sim};
+    use soap::RpcCall;
+
+    let sim = Sim::new(5);
+    let net = Network::ethernet(&sim);
+    let vsr = Vsr::start_federated(
+        &net,
+        &FederationConfig {
+            shards: 4,
+            replicas: 3,
+            replication: 2,
+            ..FederationConfig::default()
+        },
+    );
+    let client = VsrClient::new(&net, net.attach("pcm"), vsr.node());
+    for name in ["hall-lamp", "porch-lamp", "attic-lamp"] {
+        client
+            .publish(&VirtualService::new(
+                name,
+                catalog::lamp(),
+                Middleware::X10,
+                "x10-gw",
+            ))
+            .unwrap();
+    }
+    let poker = soap::SoapClient::on_node(
+        &net,
+        net.attach("poker"),
+        soap::CpuModel::default(),
+        soap::TcpModel::default(),
+    );
+
+    let op = |method: &str| RpcCall::new("urn:vsg:repository", method);
+    let requests = [
+        op("publish")
+            .arg("name", "rogue")
+            .arg("middleware", "x10")
+            .arg("gateway", "x10-gw")
+            .arg("wsdl", "<definitions name=\"rogue\"/>")
+            .arg("contexts", Value::Record(vec![])),
+        op("unpublish").arg("name", "hall-lamp"),
+        op("renew").arg("name", "hall-lamp"),
+        op("resolve").arg("name", "hall-lamp"),
+        op("find").arg("pattern", "%").arg("middleware", ""),
+        op("find_ctx")
+            .arg("pattern", "%")
+            .arg("contexts", Value::Record(vec![])),
+        op("count"),
+        op("count").arg("shard", -1i64),
+    ];
+    for node in vsr.nodes() {
+        for call in &requests {
+            match poker.call(node, call) {
+                Err(soap::SoapError::Fault(f)) => assert!(
+                    matches!(
+                        MetaError::from_fault_string(&f.string),
+                        MetaError::Repository(_)
+                    ),
+                    "{} on n{}: not a repository fault: {}",
+                    call.method,
+                    node.0,
+                    f.string
+                ),
+                other => panic!("{} on n{}: answered {other:?}", call.method, node.0),
+            }
+        }
+    }
+    assert_eq!(vsr.service_count(), 3, "nothing was written");
+    assert!(client.resolve("hall-lamp").is_ok());
+}

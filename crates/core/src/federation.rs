@@ -724,8 +724,8 @@ pub(crate) fn start_replicas(
                 client: client.clone(),
                 tracer: tracer.clone(),
             };
-            server.mount(VSR_NS, move |sim, call: &RpcCall| {
-                handle(&ctx, sim, call).map_err(|e| Fault::server(e.to_string()))
+            server.mount(VSR_NS, move |sim, call: RpcCall| {
+                handle(&ctx, sim, &call).map_err(|e| Fault::server(e.to_string()))
             });
             Replica {
                 node,

@@ -10,6 +10,7 @@ use super::{
     VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
+use crate::intern::Name;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId};
 use soap::{CpuModel, Fault, RpcCall, SoapClient, SoapError, SoapServer, TcpModel, Value};
@@ -94,7 +95,7 @@ impl VsgProtocol for Soap11 {
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
         let server = SoapServer::bind_with(net, label, self.cpu, self.tcp);
-        server.mount(GATEWAY_NS, move |sim, call: &RpcCall| {
+        server.mount(GATEWAY_NS, move |sim, call: RpcCall| {
             // A batch envelope: every `mN` argument is a member record;
             // the reply is the list of per-member results (application
             // faults stay per member, so the envelope itself is a 200).
@@ -109,25 +110,30 @@ impl VsgProtocol for Soap11 {
                 }
                 return Ok(Value::List(results));
             }
+            let trace = call
+                .get_header(TRACE_HEADER)
+                .and_then(crate::trace::TraceContext::from_wire);
+            // The method and the arguments move into the request; only
+            // the routing argument is taken out.
+            let RpcCall {
+                method, mut args, ..
+            } = call;
             let mut service = None;
-            let mut args = Vec::with_capacity(call.args.len());
-            for (k, v) in &call.args {
-                if k == SERVICE_ARG {
-                    service = v.as_str().map(str::to_owned);
-                } else {
-                    args.push((k.clone(), v.clone()));
+            args.retain(|(k, v)| {
+                let routing = k == SERVICE_ARG;
+                if routing {
+                    service = v.as_str().map(Name::from);
                 }
-            }
+                !routing
+            });
             let Some(service) = service else {
                 return Err(Fault::client("missing __service argument"));
             };
             let req = VsgRequest {
-                service: service.into(),
-                operation: call.method.clone(),
+                service,
+                operation: method,
                 args,
-                trace: call
-                    .get_header(TRACE_HEADER)
-                    .and_then(crate::trace::TraceContext::from_wire),
+                trace,
             };
             handler(sim, &req).map_err(|e| Fault::server(e.to_string()))
         });

@@ -7,6 +7,10 @@
 //! instructions, namespace *prefixes* (treated lexically), and the five
 //! predefined entities plus numeric character references.
 //!
+//! One tokenizer, the pull [`Reader`], reads every document: the
+//! borrowed tree ([`parse_ref`]) and the owned tree ([`parse`]) are
+//! built from its events, and streaming decoders read them directly.
+//!
 //! ```
 //! use minixml::Element;
 //!
@@ -25,6 +29,7 @@ pub mod borrowed;
 pub mod escape;
 pub mod node;
 pub mod parser;
+pub mod reader;
 pub mod writer;
 
 pub use borrowed::{ElemRef, NodeRef};
@@ -33,6 +38,7 @@ pub use escape::{
 };
 pub use node::{Element, XmlNode};
 pub use parser::{parse, parse_ref, ErrorKind, ParseError};
+pub use reader::{Event, Reader, StartTag};
 
 #[cfg(test)]
 mod proptests {

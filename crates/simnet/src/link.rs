@@ -66,7 +66,9 @@ impl LinkModel {
     }
 
     /// Transfer time for a payload that is fragmented across MTUs, charging
-    /// `per_frame_overhead` once per fragment.
+    /// `per_frame_overhead` once per fragment. Request/response runs over
+    /// a stream abstraction (TCP-like), so an oversized payload is
+    /// fragmented rather than rejected.
     pub fn fragmented_transfer_time(&self, payload_len: usize) -> SimDuration {
         let frags = self.fragments(payload_len);
         let wire_bytes = payload_len + self.per_frame_overhead * frags;

@@ -357,10 +357,6 @@ impl Network {
     ) -> SimResult<Bytes> {
         self.check_up()?;
         let payload = payload.into();
-        if !self.inner.link.fits(payload.len()) && self.inner.link.mtu < usize::MAX {
-            // Request/response runs over a stream abstraction (TCP-like):
-            // fragment rather than reject.
-        }
         let sim = self.inner.sim.clone();
         let frame = Frame::new(src, dst, protocol, payload);
 

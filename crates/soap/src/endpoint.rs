@@ -3,9 +3,11 @@
 
 use crate::fault::Fault;
 use crate::http::{
-    HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, ResponseParts, TcpModel,
+    body_str, HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, ResponseParts, TcpModel,
 };
-use crate::rpc::{fault_envelope, RpcCall, RpcResponse, SoapError};
+use crate::rpc::{
+    decode_call, fault_envelope, response_envelope, response_value, RpcCall, SoapError,
+};
 use crate::value::Value;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
@@ -59,8 +61,10 @@ impl CpuModel {
     }
 }
 
-/// A service handler mounted on a [`SoapServer`].
-pub type ServiceHandler = Box<dyn FnMut(&Sim, &RpcCall) -> Result<Value, Fault> + Send>;
+/// A service handler mounted on a [`SoapServer`]. It takes the decoded
+/// call by value, so it can move the arguments out instead of cloning
+/// them.
+pub type ServiceHandler = Box<dyn FnMut(&Sim, RpcCall) -> Result<Value, Fault> + Send>;
 
 /// A SOAP RPC server: one HTTP endpoint dispatching by target namespace,
 /// mirroring Apache SOAP's rpcrouter servlet.
@@ -89,13 +93,15 @@ impl SoapServer {
         // response train.
         http.route_zero(RPC_ROUTER_PATH, move |sim, req: &HttpRequestRef<'_>| {
             sim.advance(cpu.parse_cost(req.body.len()));
-            let doc = String::from_utf8_lossy(req.body);
-            let outcome = match RpcCall::from_envelope(&doc) {
-                Ok(call) => {
+            let doc = body_str(req.body);
+            // The call moves into its handler; the response names the
+            // method through a slice of the request document.
+            let outcome = match decode_call(&doc) {
+                Ok((call, method)) => {
                     sim.advance(cpu.dispatch);
                     let mut services = services2.lock();
                     match services.get_mut(&call.namespace) {
-                        Some(h) => h(sim, &call).map(|v| RpcResponse::new(&call.method, v)),
+                        Some(h) => h(sim, call).map(|v| (method, v)),
                         None => Err(Fault::client(format!(
                             "no service registered for namespace '{}'",
                             call.namespace
@@ -105,7 +111,7 @@ impl SoapServer {
                 Err(e) => Err(Fault::client(e.to_string())),
             };
             let body = match &outcome {
-                Ok(resp) => resp.to_envelope(),
+                Ok((method, value)) => response_envelope(method, value),
                 Err(fault) => fault_envelope(fault),
             };
             sim.advance(cpu.emit_cost(body.len()));
@@ -136,7 +142,7 @@ impl SoapServer {
     pub fn mount(
         &self,
         namespace: impl Into<String>,
-        handler: impl FnMut(&Sim, &RpcCall) -> Result<Value, Fault> + Send + 'static,
+        handler: impl FnMut(&Sim, RpcCall) -> Result<Value, Fault> + Send + 'static,
     ) {
         self.services
             .lock()
@@ -249,23 +255,16 @@ impl SoapClient {
         body: String,
     ) -> Result<Value, SoapError> {
         self.sim.advance(self.cpu.emit_cost(body.len()));
-        // Assemble the SOAPAction value by hand: one exact-size
-        // allocation, no formatter machinery on the per-call path.
-        let mut action = String::with_capacity(namespace.len() + method.len() + 3);
-        action.push('"');
-        action.push_str(namespace);
-        action.push('#');
-        action.push_str(method);
-        action.push('"');
         // Wire bytes are assembled directly (no owned request built
-        // just to serialise it) and the response is parsed in place.
+        // just to serialise it, no joined SOAPAction value) and the
+        // response is parsed in place.
         let mut payload = Vec::new();
         crate::http::write_post_into(
             &mut payload,
             RPC_ROUTER_PATH,
             "text/xml; charset=utf-8",
             body.as_bytes(),
-            &[("SOAPAction", &action)],
+            &[("SOAPAction", &["\"", namespace, "#", method, "\""])],
         );
         let raw = self
             .http
@@ -273,9 +272,8 @@ impl SoapClient {
             .map_err(SoapError::Http)?;
         let resp = HttpResponseRef::parse(&raw).map_err(SoapError::Http)?;
         self.sim.advance(self.cpu.parse_cost(resp.body.len()));
-        let doc = String::from_utf8_lossy(resp.body);
         // Both 200s and 500-carried faults parse as envelopes.
-        RpcResponse::from_envelope(&doc).map(|r| r.value)
+        response_value(&body_str(resp.body))
     }
 }
 

@@ -86,36 +86,6 @@ impl Fault {
         }
         e
     }
-
-    /// Decodes from a `<Fault>` element.
-    pub fn from_element(e: &Element) -> Option<Fault> {
-        if e.local_name() != "Fault" {
-            return None;
-        }
-        let code = FaultCode::from_qname(&e.find("faultcode")?.text_content())?;
-        let string = e.find("faultstring")?.text_content();
-        let detail = e.find("detail").map(Element::text_content);
-        Some(Fault {
-            code,
-            string,
-            detail,
-        })
-    }
-
-    /// [`Fault::from_element`] over the borrowed parse tier.
-    pub fn from_element_ref(e: &minixml::ElemRef<'_>) -> Option<Fault> {
-        if e.local_name() != "Fault" {
-            return None;
-        }
-        let code = FaultCode::from_qname(&e.find("faultcode")?.text_content())?;
-        let string = e.find("faultstring")?.text_content().into_owned();
-        let detail = e.find("detail").map(|d| d.text_content().into_owned());
-        Some(Fault {
-            code,
-            string,
-            detail,
-        })
-    }
 }
 
 impl fmt::Display for Fault {
@@ -133,12 +103,18 @@ impl std::error::Error for Fault {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rpc::{fault_envelope, response_value, SoapError};
+    use crate::value::Value;
+
+    /// The fault as a client decodes it from a fault envelope.
+    fn decode(f: &Fault) -> Result<Value, SoapError> {
+        response_value(&fault_envelope(f))
+    }
 
     #[test]
     fn fault_round_trips() {
         let f = Fault::server("device unreachable").with_detail("x10 frame lost");
-        let back = Fault::from_element(&f.to_element()).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(decode(&f), Err(SoapError::Fault(f)));
     }
 
     #[test]
@@ -146,7 +122,7 @@ mod tests {
         let f = Fault::client("no such method");
         let e = f.to_element();
         assert!(e.find("detail").is_none());
-        assert_eq!(Fault::from_element(&e).unwrap(), f);
+        assert_eq!(decode(&f), Err(SoapError::Fault(f)));
     }
 
     #[test]
@@ -165,12 +141,11 @@ mod tests {
 
     #[test]
     fn non_fault_element_rejected() {
-        assert!(Fault::from_element(&Element::new("NotAFault")).is_none());
-        // Fault with an unparseable code is rejected too.
-        let bad = Element::new("Fault")
-            .child(Element::new("faultcode").text("nonsense"))
-            .child(Element::new("faultstring").text("x"));
-        assert!(Fault::from_element(&bad).is_none());
+        let body = |inner: &str| format!("<Envelope><Body>{inner}</Body></Envelope>");
+        assert_eq!(response_value(&body("<NotAFault/>")), Ok(Value::Null));
+        // A Fault with an unparseable code is an ordinary response.
+        let bad = "<Fault><faultcode>nonsense</faultcode><faultstring>x</faultstring></Fault>";
+        assert_eq!(response_value(&body(bad)), Ok(Value::Null));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use parking_lot::Mutex;
 use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration, SimError};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -146,12 +147,19 @@ pub struct HttpRequestRef<'a> {
 }
 
 impl<'a> HttpRequestRef<'a> {
-    /// Parses wire bytes without copying. Accepts and rejects exactly
-    /// what [`HttpRequest::from_bytes`] does.
+    /// Parses wire bytes without copying, taking the whole buffer as one
+    /// message. Accepts and rejects exactly what
+    /// [`HttpRequest::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpRequestRef<'a>, HttpError> {
-        let (head, body) = split_head_ref(data)?;
-        let mut lines = head.lines();
-        let request_line = lines.next().ok_or(HttpError::Malformed("empty request"))?;
+        let head = Head::scan(data)?;
+        HttpRequestRef::from_head(&head, &data[head.body_at..])
+    }
+
+    /// The request whose head has been scanned, with its body.
+    fn from_head(head: &Head<'a>, body: &'a [u8]) -> Result<HttpRequestRef<'a>, HttpError> {
+        let request_line = head
+            .start_line
+            .ok_or(HttpError::Malformed("empty request"))?;
         let mut parts = request_line.split_whitespace();
         let method = parts.next().ok_or(HttpError::Malformed("no method"))?;
         let path = parts.next().ok_or(HttpError::Malformed("no path"))?;
@@ -159,11 +167,11 @@ impl<'a> HttpRequestRef<'a> {
         if !version.starts_with("HTTP/1.") {
             return Err(HttpError::Malformed("unsupported HTTP version"));
         }
-        let header_lines = validate_header_lines(head, request_line)?;
+        head.check_header_lines()?;
         Ok(HttpRequestRef {
             method,
             path,
-            header_lines,
+            header_lines: head.header_lines,
             body,
         })
     }
@@ -199,12 +207,19 @@ pub struct HttpResponseRef<'a> {
 }
 
 impl<'a> HttpResponseRef<'a> {
-    /// Parses wire bytes without copying. Accepts and rejects exactly
-    /// what [`HttpResponse::from_bytes`] does.
+    /// Parses wire bytes without copying, taking the whole buffer as one
+    /// message. Accepts and rejects exactly what
+    /// [`HttpResponse::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpResponseRef<'a>, HttpError> {
-        let (head, body) = split_head_ref(data)?;
-        let mut lines = head.lines();
-        let status_line = lines.next().ok_or(HttpError::Malformed("empty response"))?;
+        let head = Head::scan(data)?;
+        HttpResponseRef::from_head(&head, &data[head.body_at..])
+    }
+
+    /// The response whose head has been scanned, with its body.
+    fn from_head(head: &Head<'a>, body: &'a [u8]) -> Result<HttpResponseRef<'a>, HttpError> {
+        let status_line = head
+            .start_line
+            .ok_or(HttpError::Malformed("empty response"))?;
         let mut parts = status_line.splitn(3, ' ');
         let version = parts.next().ok_or(HttpError::Malformed("no version"))?;
         if !version.starts_with("HTTP/1.") {
@@ -215,11 +230,11 @@ impl<'a> HttpResponseRef<'a> {
             .and_then(|s| s.parse().ok())
             .ok_or(HttpError::Malformed("bad status code"))?;
         let reason = parts.next().unwrap_or("");
-        let header_lines = validate_header_lines(head, status_line)?;
+        head.check_header_lines()?;
         Ok(HttpResponseRef {
             status,
             reason,
-            header_lines,
+            header_lines: head.header_lines,
             body,
         })
     }
@@ -245,23 +260,118 @@ impl<'a> HttpResponseRef<'a> {
     }
 }
 
-/// The header block after the start line, with every line checked for
-/// the `name: value` shape (mirroring [`parse_headers`]'s rejects).
-fn validate_header_lines<'a>(head: &'a str, start_line: &str) -> Result<&'a str, HttpError> {
-    let rest = &head[start_line.len()..];
-    let rest = rest
-        .strip_prefix("\r\n")
-        .or_else(|| rest.strip_prefix('\n'))
-        .unwrap_or(rest);
-    for line in rest.lines() {
-        if line.is_empty() {
-            break;
+/// The head of the HTTP message at the front of a buffer, read in one
+/// scan: where the body starts, the start line, the header block, and
+/// the two headers the transport itself reads — the body length and the
+/// pipelining correlation id.
+struct Head<'a> {
+    /// Offset of the body, just past the `\r\n\r\n` terminator.
+    body_at: usize,
+    /// The request or status line; `None` for an empty head.
+    start_line: Option<&'a str>,
+    /// The header lines after the start line.
+    header_lines: &'a str,
+    /// A line of the header block (up to the first blank line) has no
+    /// colon.
+    colonless: bool,
+    /// The last `Content-Length` anywhere in the head; a value that
+    /// does not parse counts as none.
+    content_length: Option<usize>,
+    /// The first correlation id in the header block.
+    corr: Option<&'a str>,
+}
+
+impl<'a> Head<'a> {
+    fn scan(data: &'a [u8]) -> Result<Head<'a>, HttpError> {
+        let sep = find_head_end(data).ok_or(HttpError::Malformed("missing header terminator"))?;
+        let head = std::str::from_utf8(&data[..sep])
+            .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
+        let mut lines = head.lines();
+        let start_line = lines.next();
+        let header_lines = start_line.map_or("", |line| {
+            let rest = &head[line.len()..];
+            rest.strip_prefix("\r\n")
+                .or_else(|| rest.strip_prefix('\n'))
+                .unwrap_or(rest)
+        });
+        let mut scanned = Head {
+            body_at: sep + 4,
+            start_line,
+            header_lines,
+            colonless: false,
+            content_length: None,
+            corr: None,
+        };
+        let mut in_block = true;
+        for line in lines {
+            if line.is_empty() {
+                in_block = false;
+                continue;
+            }
+            // A byte search: `split_once(':')`'s char searcher costs
+            // more than the scan itself on lines this short.
+            match line.bytes().position(|b| b == b':') {
+                Some(colon) => {
+                    let (k, v) = (line[..colon].trim(), &line[colon + 1..]);
+                    if k.eq_ignore_ascii_case("content-length") {
+                        scanned.content_length = v.trim().parse().ok();
+                    } else if in_block
+                        && scanned.corr.is_none()
+                        && k.eq_ignore_ascii_case(CORR_HEADER)
+                    {
+                        scanned.corr = Some(v.trim());
+                    }
+                }
+                None => scanned.colonless |= in_block,
+            }
         }
-        if !line.contains(':') {
-            return Err(HttpError::Malformed("header without colon"));
+        Ok(scanned)
+    }
+
+    /// Length of the whole message in a buffer of `available` bytes:
+    /// head, then `Content-Length` body bytes. A message without a
+    /// length runs to the end of the buffer (the `Connection: close`
+    /// convention), so only messages that declare their length can
+    /// share a pipelined payload.
+    fn message_len(&self, available: usize) -> Result<usize, HttpError> {
+        match self.content_length {
+            Some(n) if n <= available - self.body_at => Ok(self.body_at + n),
+            Some(_) => Err(HttpError::Malformed("truncated body")),
+            None => Ok(available),
         }
     }
-    Ok(rest)
+
+    /// Rejects a header block with a line that is not `name: value`.
+    fn check_header_lines(&self) -> Result<(), HttpError> {
+        if self.colonless {
+            return Err(HttpError::Malformed("header without colon"));
+        }
+        Ok(())
+    }
+}
+
+/// Offset of the first `\r\n\r\n` in `data`.
+fn find_head_end(data: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = data[from..].iter().position(|&b| b == b'\r') {
+        let at = from + i;
+        if data[at..].starts_with(b"\r\n\r\n") {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// Reads a message body as text. Valid UTF-8 — every body this stack
+/// sends — is borrowed through the `str::from_utf8` fast path; only
+/// invalid bytes take `String::from_utf8_lossy`'s copy, so the text is
+/// always the same as `from_utf8_lossy`'s.
+pub fn body_str(body: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(body) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(body),
+    }
 }
 
 fn find_header<'a>(header_lines: &'a str, key: &str) -> Option<&'a str> {
@@ -378,20 +488,22 @@ impl HttpResponse {
 
 /// Assembles a POST wire message in one buffer, byte-identical to
 /// [`HttpRequest::post`] + [`HttpRequest::header`] for each `extra`
-/// pair + [`HttpRequest::to_bytes`] — without building the owned
-/// request (two `String`s per header) on the per-call path.
+/// header + [`HttpRequest::to_bytes`] — without building the owned
+/// request (two `String`s per header) on the per-call path. An `extra`
+/// header's value is given in parts, written back to back, so the
+/// caller need not join them into a `String` first.
 pub(crate) fn write_post_into(
     out: &mut Vec<u8>,
     path: &str,
     content_type: &str,
     body: &[u8],
-    extra: &[(&str, &str)],
+    extra: &[(&str, &[&str])],
 ) {
     use std::io::Write as _;
     let mut head_len =
         "POST  HTTP/1.1\r\n".len() + path.len() + 64 + content_type.len() + body.len();
     for (k, v) in extra {
-        head_len += k.len() + 2 + v.len() + 2;
+        head_len += k.len() + 2 + v.iter().map(|part| part.len()).sum::<usize>() + 2;
     }
     out.reserve(head_len);
     out.extend_from_slice(b"POST ");
@@ -404,48 +516,13 @@ pub(crate) fn write_post_into(
     for (k, v) in extra {
         out.extend_from_slice(k.as_bytes());
         out.extend_from_slice(b": ");
-        out.extend_from_slice(v.as_bytes());
+        for part in *v {
+            out.extend_from_slice(part.as_bytes());
+        }
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
-}
-
-/// Length of the first self-delimiting HTTP message in `data`: head,
-/// `\r\n\r\n`, then `Content-Length` body bytes. A message without
-/// `Content-Length` runs to the end of the buffer (the
-/// `Connection: close` convention), so only messages that declare their
-/// length can share a pipelined payload.
-fn message_len(data: &[u8]) -> Result<usize, HttpError> {
-    let sep = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Malformed("missing header terminator"))?;
-    let head = std::str::from_utf8(&data[..sep])
-        .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
-    let mut content_length = None;
-    for line in head.lines().skip(1) {
-        if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse::<usize>().ok();
-            }
-        }
-    }
-    match content_length {
-        Some(n) if sep + 4 + n <= data.len() => Ok(sep + 4 + n),
-        Some(_) => Err(HttpError::Malformed("truncated body")),
-        None => Ok(data.len()),
-    }
-}
-
-fn split_head_ref(data: &[u8]) -> Result<(&str, &[u8]), HttpError> {
-    let sep = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Malformed("missing header terminator"))?;
-    let head = std::str::from_utf8(&data[..sep])
-        .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
-    Ok((head, &data[sep + 4..]))
 }
 
 /// HTTP transport failures.
@@ -637,25 +714,34 @@ impl HttpServer {
             // materialised request, zero-copy routes read in place.
             let mut data: &[u8] = &frame.payload;
             let mut train: Vec<u8> = Vec::new();
-            let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+            // Where each response after the first begins in the train:
+            // empty, and so never allocated, for a lone request.
+            let mut later: Vec<usize> = Vec::new();
             loop {
                 sim.advance(tcp.server_overhead);
-                let start = train.len();
-                let (msg, rest) = match message_len(data) {
-                    Ok(n) => data.split_at(n),
+                if !train.is_empty() {
+                    later.push(train.len());
+                }
+                // One scan of the head frames the message and finds its
+                // start line, header block and correlation id.
+                let framed = Head::scan(data).and_then(|head| {
+                    let len = head.message_len(data.len())?;
+                    Ok((head, len))
+                });
+                let (head, (msg, rest)) = match framed {
+                    Ok((head, len)) => (head, data.split_at(len)),
                     Err(e) => {
                         ResponseParts::error(400, "Bad Request", "text/plain", e.to_string())
                             .write_into(&mut train, None);
-                        spans.push(start..train.len());
                         break;
                     }
                 };
-                match HttpRequestRef::parse(msg) {
+                match HttpRequestRef::from_head(&head, &msg[head.body_at..]) {
                     Ok(req) => {
                         // The correlation id is echoed so the client
                         // can match responses regardless of completion
                         // order.
-                        let corr = req.get_header(CORR_HEADER);
+                        let corr = head.corr;
                         let mut routes = routes2.lock();
                         match routes.get_mut(req.path) {
                             Some(Route::Zero(h)) => {
@@ -683,7 +769,6 @@ impl HttpServer {
                             .write_into(&mut train, None);
                     }
                 }
-                spans.push(start..train.len());
                 data = rest;
                 if data.is_empty() {
                     break;
@@ -692,11 +777,14 @@ impl HttpServer {
             // A pipelined server may finish requests in any order; we
             // reverse deliberately so clients must correlate by id
             // instead of assuming FIFO.
-            if spans.len() > 1 {
+            if !later.is_empty() {
                 let mut out = Vec::with_capacity(train.len());
-                for span in spans.iter().rev() {
-                    out.extend_from_slice(&train[span.clone()]);
+                let mut end = train.len();
+                for &start in later.iter().rev() {
+                    out.extend_from_slice(&train[start..end]);
+                    end = start;
                 }
+                out.extend_from_slice(&train[..end]);
                 return Ok(Bytes::from(out));
             }
             Ok(Bytes::from(train))
@@ -868,10 +956,11 @@ impl HttpClient {
         let mut slots: Vec<Option<HttpResponse>> = vec![None; reqs.len()];
         let mut data: &[u8] = &raw;
         while !data.is_empty() {
-            let (msg, rest) = data.split_at(message_len(data)?);
-            let resp = HttpResponse::from_bytes(msg)?;
-            let idx = resp
-                .get_header(CORR_HEADER)
+            let head = Head::scan(data)?;
+            let (msg, rest) = data.split_at(head.message_len(data.len())?);
+            let resp = HttpResponseRef::from_head(&head, &msg[head.body_at..])?.to_owned();
+            let idx = head
+                .corr
                 .and_then(|id| id.parse::<usize>().ok())
                 .filter(|i| *i < slots.len())
                 .ok_or(HttpError::Malformed("missing or bad correlation id"))?;
@@ -899,7 +988,7 @@ impl HttpClient {
         } else {
             Err(HttpError::Status(
                 resp.status,
-                String::from_utf8_lossy(&resp.body).into_owned(),
+                body_str(&resp.body).into_owned(),
             ))
         }
     }
@@ -1064,6 +1153,17 @@ mod tests {
             batched * 3 < serial,
             "pipelined {batched}us vs serial {serial}us"
         );
+    }
+
+    #[test]
+    fn body_str_borrows_valid_utf8_and_matches_lossy_otherwise() {
+        assert!(matches!(
+            body_str(b"<ok/> \xc3\xa9"),
+            Cow::Borrowed("<ok/> \u{e9}")
+        ));
+        for bytes in [&b"\xff<a/>"[..], b"a\xc3", b"\xed\xa0\x80x", b""] {
+            assert_eq!(body_str(bytes), String::from_utf8_lossy(bytes), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`Value`] — the SOAP section-5 RPC data model, the framework's
 //!   lingua franca.
-//! * [`RpcCall`] / [`RpcResponse`] / [`Fault`] — envelope encoding.
+//! * [`RpcCall`] / [`response_envelope`] / [`response_value`] /
+//!   [`Fault`] — envelope encoding.
 //! * [`HttpRequest`] / [`HttpResponse`] / [`HttpServer`] / [`HttpClient`]
 //!   — simulated HTTP/1.1 with per-connection TCP costs.
 //! * [`SoapServer`] / [`SoapClient`] — the rpcrouter endpoint, with a
@@ -40,10 +41,12 @@ pub mod value;
 pub use endpoint::{CpuModel, ServiceHandler, SoapClient, SoapServer, RPC_ROUTER_PATH};
 pub use fault::{Fault, FaultCode};
 pub use http::{
-    HttpClient, HttpError, HttpRequest, HttpRequestRef, HttpResponse, HttpResponseRef, HttpServer,
-    ResponseParts, TcpModel, ZeroRouteHandler,
+    body_str, HttpClient, HttpError, HttpRequest, HttpRequestRef, HttpResponse, HttpResponseRef,
+    HttpServer, ResponseParts, TcpModel, ZeroRouteHandler,
 };
-pub use rpc::{call_envelope, fault_envelope, RpcCall, RpcResponse, SoapError};
+pub use rpc::{
+    call_envelope, fault_envelope, response_envelope, response_value, RpcCall, SoapError,
+};
 pub use value::{base64_decode, base64_encode, Value, ValueError};
 
 #[cfg(test)]
@@ -76,9 +79,8 @@ mod proptests {
     proptest! {
         #[test]
         fn value_envelope_round_trip(v in arb_value(2)) {
-            let resp = RpcResponse::new("m", v.clone());
-            let back = RpcResponse::from_envelope(&resp.to_envelope()).unwrap();
-            prop_assert_eq!(back.value, v);
+            let back = response_value(&response_envelope("m", &v)).unwrap();
+            prop_assert_eq!(back, v);
         }
 
         #[test]
@@ -113,7 +115,7 @@ mod proptests {
         #[test]
         fn envelope_decoder_never_panics(s in ".{0,300}") {
             let _ = RpcCall::from_envelope(&s);
-            let _ = RpcResponse::from_envelope(&s);
+            let _ = response_value(&s);
         }
     }
 }

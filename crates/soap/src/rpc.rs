@@ -1,9 +1,10 @@
 //! SOAP 1.1 RPC envelopes: calls, responses, and their wire encoding.
 
-use crate::fault::Fault;
+use crate::fault::{Fault, FaultCode};
 use crate::http::HttpError;
-use crate::value::{Value, ValueError};
-use minixml::{escape_attr_into, escape_text_into, ElemRef, Element, ParseError};
+use crate::value::{read_value, Value, ValueError};
+use minixml::{escape_attr_into, escape_text_into, Element, Event, ParseError, Reader, StartTag};
+use std::borrow::Cow;
 use std::fmt;
 
 const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -60,43 +61,10 @@ impl RpcCall {
         )
     }
 
-    /// Decodes a call envelope.
-    ///
-    /// Runs over the borrowed parse tier: tag names, attributes and
-    /// clean text stay slices of `doc`, and only the strings that end
-    /// up in the returned call are copied out.
+    /// Decodes a call envelope, streaming: the tokenizer's events go
+    /// straight into the owned call, with no element tree in between.
     pub fn from_envelope(doc: &str) -> Result<RpcCall, SoapError> {
-        let root = minixml::parse_ref(doc)?;
-        let headers = root
-            .find("Header")
-            .map(|h| {
-                h.elements()
-                    .map(|e| (e.local_name().to_owned(), e.text_content().into_owned()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let body = body_of(&root)?;
-        let call = body
-            .elements()
-            .next()
-            .ok_or_else(|| SoapError::malformed("empty SOAP body"))?;
-        let method = call.local_name().to_owned();
-        let namespace = call
-            .attrs
-            .iter()
-            .find(|(k, _)| k.starts_with("xmlns"))
-            .map(|(_, v)| v.clone().into_owned())
-            .unwrap_or_default();
-        let args = call
-            .elements()
-            .map(|a| Value::from_element_ref(a).map(|v| (a.local_name().to_owned(), v)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RpcCall {
-            namespace,
-            method,
-            args,
-            headers,
-        })
+        decode_call(doc).map(|(call, _)| call)
     }
 
     /// Looks up an argument by name.
@@ -113,62 +81,26 @@ impl RpcCall {
     }
 }
 
-/// The result of an RPC: the return value, tagged with the method name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RpcResponse {
-    /// The method this responds to.
-    pub method: String,
-    /// The return value (`Value::Null` for void methods).
-    pub value: Value,
+/// Decodes the return value of a response envelope (`Value::Null` for
+/// void methods), surfacing a carried fault as `Err(SoapError::Fault)`.
+/// Streams like [`RpcCall::from_envelope`].
+pub fn response_value(doc: &str) -> Result<Value, SoapError> {
+    streamed(doc, read_response)
 }
 
-impl RpcResponse {
-    /// Creates a response.
-    pub fn new(method: impl Into<String>, value: impl Into<Value>) -> Self {
-        RpcResponse {
-            method: method.into(),
-            value: value.into(),
-        }
-    }
-
-    /// Encodes as a complete SOAP envelope document, streamed straight
-    /// into the output string (no element tree).
-    pub fn to_envelope(&self) -> String {
-        let mut out = String::with_capacity(384);
-        write_envelope_open(&mut out, NO_HEADERS);
-        out.push_str("<SOAP-ENV:Body><ns1:");
-        out.push_str(&self.method);
-        out.push_str("Response xmlns:ns1=\"urn:vsg:response\">");
-        self.value.write_xml("return", &mut out);
-        out.push_str("</ns1:");
-        out.push_str(&self.method);
-        out.push_str("Response></SOAP-ENV:Body></SOAP-ENV:Envelope>");
-        out
-    }
-
-    /// Decodes a response envelope, surfacing a carried fault as
-    /// `Err(SoapError::Fault)`. Runs over the borrowed parse tier.
-    pub fn from_envelope(doc: &str) -> Result<RpcResponse, SoapError> {
-        let root = minixml::parse_ref(doc)?;
-        let body = body_of(&root)?;
-        let first = body
-            .elements()
-            .next()
-            .ok_or_else(|| SoapError::malformed("empty SOAP body"))?;
-        if let Some(fault) = Fault::from_element_ref(first) {
-            return Err(SoapError::Fault(fault));
-        }
-        let method = first
-            .local_name()
-            .strip_suffix("Response")
-            .unwrap_or(first.local_name())
-            .to_owned();
-        let value = match first.find("return") {
-            Some(r) => Value::from_element_ref(r)?,
-            None => Value::Null,
-        };
-        Ok(RpcResponse { method, value })
-    }
+/// Encodes the response envelope of `method` returning `value` straight
+/// into the output string, with no element tree.
+pub fn response_envelope(method: &str, value: &Value) -> String {
+    let mut out = String::with_capacity(384);
+    write_envelope_open(&mut out, NO_HEADERS);
+    out.push_str("<SOAP-ENV:Body><ns1:");
+    out.push_str(method);
+    out.push_str("Response xmlns:ns1=\"urn:vsg:response\">");
+    value.write_xml("return", &mut out);
+    out.push_str("</ns1:");
+    out.push_str(method);
+    out.push_str("Response></SOAP-ENV:Body></SOAP-ENV:Envelope>");
+    out
 }
 
 /// Encodes a call envelope directly from borrowed parts — bit-identical
@@ -265,15 +197,153 @@ pub fn fault_envelope(fault: &Fault) -> String {
         .to_document()
 }
 
-fn body_of<'a, 'd>(root: &'a ElemRef<'d>) -> Result<&'a ElemRef<'d>, SoapError> {
-    if root.local_name() != "Envelope" {
-        return Err(SoapError::malformed(format!(
+// ---- streamed decode ---------------------------------------------------
+//
+// The decoders read the tokenizer's events in one pass and keep only
+// what ends up in the result. They answer exactly as a parse-then-walk
+// decode would: the document is always read to its end, so an XML
+// error anywhere wins over a structural or value error met earlier;
+// then the root must be an Envelope, its first Body must hold an
+// element, and the first bad value in document order is the error.
+
+/// Runs `decode` over `doc`, then checks the rest of the document.
+fn streamed<'d, T>(
+    doc: &'d str,
+    decode: impl FnOnce(&mut Reader<'d>) -> Result<T, SoapError>,
+) -> Result<T, SoapError> {
+    let mut reader = Reader::new(doc);
+    let out = decode(&mut reader);
+    if !matches!(out, Err(SoapError::Xml(_))) {
+        reader.finish()?;
+    }
+    out
+}
+
+/// Decodes a call envelope, also returning the method name as a slice
+/// of `doc` — the router answers with it after the call has moved into
+/// its handler.
+pub(crate) fn decode_call(doc: &str) -> Result<(RpcCall, &str), SoapError> {
+    streamed(doc, |r| {
+        open_envelope(r)?;
+        let mut headers = None;
+        let mut call = None;
+        while let Some(child) = r.next_child()? {
+            match child.local_name() {
+                "Header" if headers.is_none() => {
+                    let mut entries = Vec::new();
+                    while let Some(entry) = r.next_child()? {
+                        let text = r.read_text()?.into_owned();
+                        entries.push((entry.local_name().to_owned(), text));
+                    }
+                    headers = Some(entries);
+                }
+                "Body" if call.is_none() => {
+                    let method = first_body_child(r)?;
+                    let namespace = method
+                        .attrs()
+                        .find(|(k, _)| k.starts_with("xmlns"))
+                        .map(|(_, v)| v.into_owned())
+                        .unwrap_or_default();
+                    let mut args = Vec::new();
+                    while let Some(arg) = r.next_child()? {
+                        let value = read_value(r, &arg)?;
+                        args.push((arg.local_name().to_owned(), value));
+                    }
+                    r.skip_to(1)?;
+                    call = Some((namespace, method.local_name(), args));
+                }
+                _ => r.skip_element()?,
+            }
+        }
+        let (namespace, method, args) =
+            call.ok_or_else(|| SoapError::malformed("Envelope has no Body"))?;
+        let call = RpcCall {
+            namespace,
+            method: method.to_owned(),
+            args,
+            headers: headers.unwrap_or_default(),
+        };
+        Ok((call, method))
+    })
+}
+
+/// Reads a response envelope up to its first Body's first element:
+/// that element's `return` value, or the fault it carries.
+fn read_response(r: &mut Reader<'_>) -> Result<Value, SoapError> {
+    open_envelope(r)?;
+    while let Some(child) = r.next_child()? {
+        if child.local_name() != "Body" {
+            r.skip_element()?;
+            continue;
+        }
+        let first = first_body_child(r)?;
+        if first.local_name() == "Fault" {
+            return read_fault(r);
+        }
+        let mut value = None;
+        while let Some(c) = r.next_child()? {
+            if value.is_none() && c.local_name() == "return" {
+                value = Some(read_value(r, &c)?);
+            } else {
+                r.skip_element()?;
+            }
+        }
+        return Ok(value.unwrap_or(Value::Null));
+    }
+    Err(SoapError::malformed("Envelope has no Body"))
+}
+
+/// Reads the children of a `Fault` element, in any order. A fault with
+/// a known `faultcode` and a `faultstring` is `Err(SoapError::Fault)`;
+/// anything less is an ordinary response element named `Fault`, whose
+/// value is its first `return` child (or null).
+fn read_fault(r: &mut Reader<'_>) -> Result<Value, SoapError> {
+    let depth = r.depth();
+    let (mut code, mut string, mut detail, mut value) = (None, None, None, None);
+    while let Some(c) = r.next_child()? {
+        match c.local_name() {
+            "faultcode" if code.is_none() => code = Some(r.read_text()?),
+            "faultstring" if string.is_none() => string = Some(r.read_text()?),
+            "detail" if detail.is_none() => detail = Some(r.read_text()?),
+            "return" if value.is_none() => {
+                // A bad value only matters if this is not a fault after
+                // all, so it is kept rather than returned.
+                let decoded = read_value(r, &c);
+                if let Err(SoapError::Xml(e)) = decoded {
+                    return Err(SoapError::Xml(e));
+                }
+                r.skip_to(depth)?;
+                value = Some(decoded);
+            }
+            _ => r.skip_element()?,
+        }
+    }
+    match (code.as_deref().and_then(FaultCode::from_qname), string) {
+        (Some(code), Some(string)) => Err(SoapError::Fault(Fault {
+            code,
+            string: string.into_owned(),
+            detail: detail.map(Cow::into_owned),
+        })),
+        _ => value.unwrap_or(Ok(Value::Null)),
+    }
+}
+
+/// Reads the root start tag, which must be an Envelope.
+fn open_envelope(r: &mut Reader<'_>) -> Result<(), SoapError> {
+    match r.next_event()? {
+        Some(Event::Start(root)) if root.local_name() == "Envelope" => Ok(()),
+        Some(Event::Start(root)) => Err(SoapError::malformed(format!(
             "root element is <{}>, not an Envelope",
             root.name
-        )));
+        ))),
+        _ => unreachable!("a document's first event is its root's start tag"),
     }
-    root.find("Body")
-        .ok_or_else(|| SoapError::malformed("Envelope has no Body"))
+}
+
+/// The first child element of the Body just opened.
+fn first_body_child<'d>(r: &mut Reader<'d>) -> Result<StartTag<'d>, SoapError> {
+    r.next_child()?
+        .ok_or_else(|| SoapError::malformed("empty SOAP body"))
 }
 
 /// Errors surfaced by SOAP encoding, decoding and transport.
@@ -372,28 +442,25 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        let resp = RpcResponse::new(
-            "record",
-            Value::Record(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("tape_pos".into(), Value::Int(1234)),
-            ]),
-        );
-        let back = RpcResponse::from_envelope(&resp.to_envelope()).unwrap();
-        assert_eq!(back, resp);
+        let value = Value::Record(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("tape_pos".into(), Value::Int(1234)),
+        ]);
+        let doc = response_envelope("record", &value);
+        assert!(doc.contains("<ns1:recordResponse "), "{doc}");
+        assert_eq!(response_value(&doc).unwrap(), value);
     }
 
     #[test]
     fn void_response() {
-        let resp = RpcResponse::new("stop", Value::Null);
-        let back = RpcResponse::from_envelope(&resp.to_envelope()).unwrap();
-        assert_eq!(back.value, Value::Null);
+        let doc = response_envelope("stop", &Value::Null);
+        assert_eq!(response_value(&doc).unwrap(), Value::Null);
     }
 
     #[test]
     fn fault_envelope_decodes_as_fault_error() {
         let doc = fault_envelope(&Fault::server("VCR is on fire"));
-        match RpcResponse::from_envelope(&doc) {
+        match response_value(&doc) {
             Err(SoapError::Fault(f)) => assert_eq!(f.string, "VCR is on fire"),
             other => panic!("expected fault, got {other:?}"),
         }
@@ -470,14 +537,14 @@ mod tests {
 
     #[test]
     fn streamed_response_envelope_matches_element_path() {
-        let resp = RpcResponse::new(
-            "record",
-            Value::Record(vec![("ok".into(), Value::Bool(true))]),
-        );
+        let value = Value::Record(vec![("ok".into(), Value::Bool(true))]);
         let body = Element::new("ns1:recordResponse")
             .attr("xmlns:ns1", "urn:vsg:response")
-            .child(resp.value.to_element("return"));
-        assert_eq!(resp.to_envelope(), tree_envelope(&[], body));
+            .child(value.to_element("return"));
+        assert_eq!(
+            response_envelope("record", &value),
+            tree_envelope(&[], body)
+        );
     }
 
     #[test]

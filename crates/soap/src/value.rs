@@ -6,7 +6,9 @@
 //! this model (exactly the role Apache SOAP's type mappings played in the
 //! paper's prototype).
 
-use minixml::{escape_text_into, ElemRef, Element};
+use crate::rpc::SoapError;
+use minixml::{escape_text_into, Element, Reader, StartTag};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dynamically typed RPC value.
@@ -143,95 +145,6 @@ impl Value {
         }
     }
 
-    /// Decodes from an element produced by [`Value::to_element`] (or by a
-    /// foreign SOAP stack using the same subset).
-    pub fn from_element(e: &Element) -> Result<Value, ValueError> {
-        let ty = e.get_attr("xsi:type").unwrap_or("xsd:string");
-        if e.get_attr("xsi:nil") == Some("true") || ty == "xsi:null" {
-            return Ok(Value::Null);
-        }
-        match ty {
-            "xsd:boolean" => match e.text_content().trim() {
-                "true" | "1" => Ok(Value::Bool(true)),
-                "false" | "0" => Ok(Value::Bool(false)),
-                other => Err(ValueError::new(format!("bad boolean '{other}'"))),
-            },
-            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => e
-                .text_content()
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| ValueError::new(format!("bad integer '{}'", e.text_content()))),
-            "xsd:double" | "xsd:float" | "xsd:decimal" => e
-                .text_content()
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| ValueError::new(format!("bad double '{}'", e.text_content()))),
-            "xsd:string" => Ok(Value::Str(e.text_content())),
-            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(e.text_content().trim())
-                .map(Value::Bytes)
-                .ok_or_else(|| ValueError::new("bad base64 payload")),
-            "SOAP-ENC:Array" => e
-                .elements()
-                .map(Value::from_element)
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::List),
-            "SOAP-ENC:Struct" => e
-                .elements()
-                .map(|c| Value::from_element(c).map(|v| (c.local_name().to_owned(), v)))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::Record),
-            other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
-        }
-    }
-
-    /// [`Value::from_element`] over the borrowed parse tier: decodes
-    /// straight from document slices, so only the resulting `Value`'s
-    /// own strings allocate — no intermediate owned element tree. Kept
-    /// in lock-step with `from_element` (the equivalence proptest in
-    /// this module enforces it).
-    pub fn from_element_ref(e: &ElemRef<'_>) -> Result<Value, ValueError> {
-        let ty = e.get_attr("xsi:type").unwrap_or("xsd:string");
-        if e.get_attr("xsi:nil") == Some("true") || ty == "xsi:null" {
-            return Ok(Value::Null);
-        }
-        match ty {
-            "xsd:boolean" => match e.text_content().trim() {
-                "true" | "1" => Ok(Value::Bool(true)),
-                "false" | "0" => Ok(Value::Bool(false)),
-                other => Err(ValueError::new(format!("bad boolean '{other}'"))),
-            },
-            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => e
-                .text_content()
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| ValueError::new(format!("bad integer '{}'", e.text_content()))),
-            "xsd:double" | "xsd:float" | "xsd:decimal" => e
-                .text_content()
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| ValueError::new(format!("bad double '{}'", e.text_content()))),
-            "xsd:string" => Ok(Value::Str(e.text_content().into_owned())),
-            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(e.text_content().trim())
-                .map(Value::Bytes)
-                .ok_or_else(|| ValueError::new("bad base64 payload")),
-            "SOAP-ENC:Array" => e
-                .elements()
-                .map(Value::from_element_ref)
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::List),
-            "SOAP-ENC:Struct" => e
-                .elements()
-                .map(|c| Value::from_element_ref(c).map(|v| (c.local_name().to_owned(), v)))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::Record),
-            other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
-        }
-    }
-
     // ---- convenience accessors -------------------------------------------
 
     /// The integer inside, if this is an `Int`.
@@ -341,6 +254,75 @@ impl From<String> for Value {
 impl From<Vec<u8>> for Value {
     fn from(b: Vec<u8>) -> Value {
         Value::Bytes(b)
+    }
+}
+
+/// Decodes the value element whose start tag `tag` the reader has just
+/// read, through its end tag: the inverse of [`Value::to_element`] and
+/// [`Value::write_xml`] (and lenient like Apache SOAP: an untyped
+/// element is a string). Reads the tokenizer's events, no element
+/// tree. On an error the reader may be left inside the element.
+pub(crate) fn read_value(r: &mut Reader<'_>, tag: &StartTag<'_>) -> Result<Value, SoapError> {
+    let (mut ty, mut nil) = (None, None);
+    for (key, value) in tag.attrs() {
+        match key {
+            "xsi:type" if ty.is_none() => ty = Some(value),
+            "xsi:nil" if nil.is_none() => nil = Some(value),
+            _ => {}
+        }
+    }
+    let ty = ty.unwrap_or(Cow::Borrowed("xsd:string"));
+    if nil.as_deref() == Some("true") || ty == "xsi:null" {
+        r.skip_element()?;
+        return Ok(Value::Null);
+    }
+    match &*ty {
+        "SOAP-ENC:Array" => {
+            let mut items = Vec::new();
+            while let Some(item) = r.next_child()? {
+                items.push(read_value(r, &item)?);
+            }
+            Ok(Value::List(items))
+        }
+        "SOAP-ENC:Struct" => {
+            let mut fields = Vec::new();
+            while let Some(field) = r.next_child()? {
+                let value = read_value(r, &field)?;
+                fields.push((field.local_name().to_owned(), value));
+            }
+            Ok(Value::Record(fields))
+        }
+        scalar => {
+            let text = r.read_text()?;
+            Ok(decode_scalar(scalar, text)?)
+        }
+    }
+}
+
+/// Decodes a scalar of type `ty` from its element's text content, or
+/// rejects a type this model does not know.
+fn decode_scalar(ty: &str, text: Cow<'_, str>) -> Result<Value, ValueError> {
+    match ty {
+        "xsd:boolean" => match text.trim() {
+            "true" | "1" => Ok(Value::Bool(true)),
+            "false" | "0" => Ok(Value::Bool(false)),
+            other => Err(ValueError::new(format!("bad boolean '{other}'"))),
+        },
+        "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => text
+            .trim()
+            .parse::<i64>()
+            .map(Value::Int)
+            .map_err(|_| ValueError::new(format!("bad integer '{text}'"))),
+        "xsd:double" | "xsd:float" | "xsd:decimal" => text
+            .trim()
+            .parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| ValueError::new(format!("bad double '{text}'"))),
+        "xsd:string" => Ok(Value::Str(text.into_owned())),
+        "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(text.trim())
+            .map(Value::Bytes)
+            .ok_or_else(|| ValueError::new("bad base64 payload")),
+        other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
     }
 }
 
@@ -468,10 +450,19 @@ pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// Decodes a document whose root is one value element.
+    fn decode(doc: &str) -> Result<Value, SoapError> {
+        let mut r = Reader::new(doc);
+        let Some(minixml::Event::Start(tag)) = r.next_event().unwrap() else {
+            panic!("start tag expected");
+        };
+        let value = read_value(&mut r, &tag);
+        r.finish().unwrap();
+        value
+    }
+
     fn round_trip(v: &Value) -> Value {
-        let e = v.to_element("arg");
-        let reparsed = minixml::parse(&e.to_document()).unwrap();
-        Value::from_element(&reparsed).unwrap()
+        decode(&v.to_element("arg").to_document()).unwrap()
     }
 
     #[test]
@@ -518,8 +509,10 @@ mod tests {
     #[test]
     fn untyped_elements_decode_as_strings() {
         // Lenient like Apache SOAP: missing xsi:type means string.
-        let e = minixml::parse("<arg>plain</arg>").unwrap();
-        assert_eq!(Value::from_element(&e).unwrap(), Value::Str("plain".into()));
+        assert_eq!(
+            decode("<arg>plain</arg>").unwrap(),
+            Value::Str("plain".into())
+        );
     }
 
     #[test]
@@ -531,8 +524,7 @@ mod tests {
             r#"<a xsi:type="SOAP-ENC:base64">!!!</a>"#,
             r#"<a xsi:type="vendor:custom">x</a>"#,
         ] {
-            let e = minixml::parse(xml).unwrap();
-            assert!(Value::from_element(&e).is_err(), "{xml}");
+            assert!(matches!(decode(xml), Err(SoapError::Value(_))), "{xml}");
         }
     }
 
@@ -598,24 +590,16 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_decode_matches_owned() {
+    fn edge_values_round_trip() {
         for v in edge_values() {
-            let doc = v.to_element("arg").to_document();
-            let owned = Value::from_element(&minixml::parse(&doc).unwrap()).unwrap();
-            let borrowed = Value::from_element_ref(&minixml::parse_ref(&doc).unwrap()).unwrap();
-            assert_eq!(borrowed, owned, "value {v}");
-            assert_eq!(borrowed, v, "value {v}");
+            assert_eq!(round_trip(&v), v, "value {v}");
         }
-        // Bad payloads fail identically on both tiers.
-        for xml in [
-            r#"<a xsi:type="xsd:int">notanumber</a>"#,
-            r#"<a xsi:type="vendor:custom">x</a>"#,
-        ] {
-            let owned = Value::from_element(&minixml::parse(xml).unwrap());
-            let borrowed = Value::from_element_ref(&minixml::parse_ref(xml).unwrap());
-            assert_eq!(owned, borrowed, "{xml}");
-            assert!(owned.is_err());
-        }
+        // The first bad value inside a compound is the error.
+        let doc = r#"<a xsi:type="SOAP-ENC:Array"><b xsi:type="xsd:boolean">maybe</b><c xsi:type="xsd:int">x</c></a>"#;
+        assert_eq!(
+            decode(doc),
+            Err(SoapError::Value(ValueError::new("bad boolean 'maybe'")))
+        );
     }
 
     #[test]

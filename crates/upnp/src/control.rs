@@ -6,8 +6,8 @@ use crate::ssdp::{search, SsdpHit};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim};
 use soap::{
-    HttpClient, HttpRequest, HttpResponse, HttpServer, RpcCall, RpcResponse, SoapError, TcpModel,
-    Value,
+    body_str, response_value, HttpClient, HttpRequest, HttpResponse, HttpServer, RpcCall,
+    SoapError, TcpModel, Value,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -57,7 +57,7 @@ impl ControlPoint {
             .http
             .send_expect_ok(hit.node, &HttpRequest::get(hit.location.clone()))
             .map_err(SoapError::Http)?;
-        let doc = String::from_utf8_lossy(&resp.body);
+        let doc = body_str(&resp.body);
         let root = minixml::parse(&doc)?;
         DeviceDescription::from_xml(&root)
             .ok_or_else(|| SoapError::Malformed("not a device description".into()))
@@ -79,7 +79,7 @@ impl ControlPoint {
         let req = HttpRequest::post(control_url, "text/xml; charset=utf-8", call.to_envelope())
             .header("SOAPACTION", format!("\"{service_type}#{action}\""));
         let resp = self.http.send(device, &req).map_err(SoapError::Http)?;
-        RpcResponse::from_envelope(&String::from_utf8_lossy(&resp.body)).map(|r| r.value)
+        response_value(&body_str(&resp.body))
     }
 
     /// Subscribes to a service's events; `on_event` receives
@@ -97,7 +97,7 @@ impl ControlPoint {
         };
         self.callbacks
             .route(path.clone(), move |sim, req: &HttpRequest| {
-                let doc = String::from_utf8_lossy(&req.body);
+                let doc = body_str(&req.body);
                 if let Ok(root) = minixml::parse(&doc) {
                     for prop in root.find_all("property") {
                         for var in prop.elements() {

@@ -6,8 +6,8 @@ use minixml::Element;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Protocol, Sim};
 use soap::{
-    fault_envelope, Fault, HttpRequest, HttpResponse, HttpServer, RpcCall, RpcResponse, TcpModel,
-    Value,
+    body_str, fault_envelope, response_envelope, Fault, HttpRequest, HttpResponse, HttpServer,
+    RpcCall, TcpModel, Value,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -176,7 +176,7 @@ fn control_request(
     service_type: &str,
     req: &HttpRequest,
 ) -> HttpResponse {
-    let doc = String::from_utf8_lossy(&req.body);
+    let doc = body_str(&req.body);
     let outcome = match RpcCall::from_envelope(&doc) {
         Ok(call) => {
             let handler = {
@@ -190,7 +190,7 @@ fn control_request(
                     let result = h(sim, &call.method, &call.args);
                     state.lock().actions.insert(service_type.to_owned(), h);
                     match result {
-                        Ok(v) => Ok(RpcResponse::new(&call.method, v)),
+                        Ok(v) => Ok((call.method, v)),
                         Err(e) => Err(Fault::server(e)),
                     }
                 }
@@ -202,7 +202,10 @@ fn control_request(
         Err(e) => Err(Fault::client(e.to_string())),
     };
     match outcome {
-        Ok(resp) => HttpResponse::ok("text/xml; charset=utf-8", resp.to_envelope()),
+        Ok((method, value)) => HttpResponse::ok(
+            "text/xml; charset=utf-8",
+            response_envelope(&method, &value),
+        ),
         Err(fault) => {
             let mut r = HttpResponse::error(500, "Internal Server Error", fault_envelope(&fault));
             r.headers[0].1 = "text/xml; charset=utf-8".into();
@@ -310,7 +313,7 @@ mod tests {
         let resp = client
             .send_expect_ok(dev.node(), &HttpRequest::get("/desc.xml"))
             .unwrap();
-        let doc = String::from_utf8_lossy(&resp.body);
+        let doc = body_str(&resp.body);
         let parsed = DeviceDescription::from_xml(&minixml::parse(&doc).unwrap()).unwrap();
         assert_eq!(parsed.friendly_name, "Kitchen Light");
     }
@@ -325,14 +328,14 @@ mod tests {
         let call = RpcCall::new(SWITCH_SVC, "SetTarget").arg("NewTargetValue", true);
         let req = HttpRequest::post("/control/SwitchPower", "text/xml", call.to_envelope());
         let resp = client.send_expect_ok(dev.node(), &req).unwrap();
-        let parsed = RpcResponse::from_envelope(&String::from_utf8_lossy(&resp.body)).unwrap();
-        assert_eq!(parsed.value, Value::Null);
+        let value = soap::response_value(&body_str(&resp.body)).unwrap();
+        assert_eq!(value, Value::Null);
 
         let call = RpcCall::new(SWITCH_SVC, "GetStatus");
         let req = HttpRequest::post("/control/SwitchPower", "text/xml", call.to_envelope());
         let resp = client.send_expect_ok(dev.node(), &req).unwrap();
-        let parsed = RpcResponse::from_envelope(&String::from_utf8_lossy(&resp.body)).unwrap();
-        assert_eq!(parsed.value, Value::Bool(true));
+        let value = soap::response_value(&body_str(&resp.body)).unwrap();
+        assert_eq!(value, Value::Bool(true));
     }
 
     #[test]
@@ -345,7 +348,7 @@ mod tests {
         let req = HttpRequest::post("/control/SwitchPower", "text/xml", call.to_envelope());
         let resp = client.send(dev.node(), &req).unwrap();
         assert_eq!(resp.status, 500);
-        let err = RpcResponse::from_envelope(&String::from_utf8_lossy(&resp.body)).unwrap_err();
+        let err = soap::response_value(&body_str(&resp.body)).unwrap_err();
         assert!(matches!(err, soap::SoapError::Fault(_)));
     }
 
@@ -360,9 +363,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         cb_server.route("/notify", move |_, req: &HttpRequest| {
-            seen2
-                .lock()
-                .push(String::from_utf8_lossy(&req.body).into_owned());
+            seen2.lock().push(body_str(&req.body).into_owned());
             HttpResponse::ok("text/plain", "")
         });
 

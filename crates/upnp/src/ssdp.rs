@@ -60,7 +60,7 @@ pub fn install_responder(
     let device_type = device_type.to_owned();
     let usn = usn.to_owned();
     net.set_frame_handler(node, move |_sim, frame| {
-        let text = String::from_utf8_lossy(&frame.payload);
+        let text = soap::body_str(&frame.payload);
         if !text.starts_with("M-SEARCH") {
             return;
         }
@@ -93,7 +93,7 @@ pub fn search(net: &Network, node: NodeId, st: &str) -> Vec<SsdpHit> {
     ));
     let mut hits = Vec::new();
     while let Some(frame) = net.recv(node) {
-        let text = String::from_utf8_lossy(&frame.payload);
+        let text = soap::body_str(&frame.payload);
         if !text.starts_with("HTTP/1.1 200") {
             continue;
         }

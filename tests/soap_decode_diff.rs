@@ -19,8 +19,8 @@
 //!
 //! Agreement means: the same `ErrorKind` at the same byte offset or the
 //! same tree from `parse_ref`; the same call or the same `SoapError`
-//! from `RpcCall::from_envelope`; and the same response or the same
-//! `SoapError` from the response decoder.
+//! from `RpcCall::from_envelope`; and the same return value or the same
+//! `SoapError` from the client's response decoder, `response_value`.
 
 use metaware::protocol::{Soap11, VsgProtocol, VsgRequest};
 use metaware::trace::{SpanId, TraceContext, TraceId};
@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{Network, Protocol, Sim};
-use soap::{fault_envelope, Fault, RpcCall, RpcResponse, SoapError, Value, ValueError};
+use soap::{fault_envelope, response_envelope, Fault, RpcCall, SoapError, Value, ValueError};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -301,7 +301,7 @@ mod oracle_soap {
         })
     }
 
-    pub fn response(doc: &str) -> Result<RpcResponse, SoapError> {
+    pub fn response(doc: &str) -> Result<Value, SoapError> {
         let root = oracle_xml::parse(doc).map_err(SoapError::Xml)?;
         let first = body(&root)?
             .elements()
@@ -310,15 +310,10 @@ mod oracle_soap {
         if let Some(f) = fault(first) {
             return Err(SoapError::Fault(f));
         }
-        let local = first.local_name();
-        let value = match first.find("return") {
-            Some(r) => value(r).map_err(SoapError::Value)?,
-            None => Value::Null,
-        };
-        Ok(RpcResponse {
-            method: local.strip_suffix("Response").unwrap_or(local).to_owned(),
-            value,
-        })
+        match first.find("return") {
+            Some(r) => value(r).map_err(SoapError::Value),
+            None => Ok(Value::Null),
+        }
     }
 }
 
@@ -440,7 +435,7 @@ fn edge_envelopes() -> Vec<String> {
         ]),
     ]
     .into_iter()
-    .map(|v| RpcResponse::new("probe", v).to_envelope())
+    .map(|v| response_envelope("probe", &v))
     .collect();
     docs.push(
         RpcCall::new("urn:vsg:gateway", "play")
@@ -718,7 +713,7 @@ fn decoders_agree_with_the_tree_path_oracle() {
         assert_eq!(show(&call), show(&oracle_soap::call(&doc)), "call {doc:?}");
         tally.note(&call, |t| t.call_ok += 1);
 
-        let resp = RpcResponse::from_envelope(&doc);
+        let resp = soap::response_value(&doc);
         assert_eq!(
             show(&resp),
             show(&oracle_soap::response(&doc)),

@@ -227,7 +227,10 @@ run_bench() {
 # The repository benchmark's own checks: its helper tests, then one
 # short traced run of each workload, which must report
 # "correct": true (every op answered as the model of the home says,
-# deterministic cells identical across episodes).
+# deterministic cells identical across episodes), then one short
+# untraced seed-1 run of each workload whose deterministic cells
+# (virtual p50/p99, allocs/op, wire bytes/op, heap per home, ok ratio)
+# must equal bench-baselines/perfbench_seed1.json exactly.
 run_perfbench() {
     # Built into the directory run.py uses, so the runs below reuse
     # this release build instead of making a second one.
@@ -241,6 +244,12 @@ run_perfbench() {
         echo "$result"
         echo "$result" | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)' \
             || { echo "perfbench $workload: result is not correct" >&2; exit 1; }
+    done
+
+    for workload in soap_call_mix directory_churn cloud_fleet; do
+        stage "perfbench $workload (1 s, seed 1, exact deterministic cells)"
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+            | tail -n 1 | python3 scripts/perfbench_gate.py "$workload"
     done
 }
 

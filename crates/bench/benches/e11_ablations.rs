@@ -4,8 +4,9 @@
 //! implementation makes so readers can separate "the paper's
 //! architecture" from "this codebase's engineering":
 //!
-//!  * **route cache** — without it every remote call pays two extra SOAP
-//!    round trips to the VSR (resolve + gateway_node);
+//!  * **route cache** — without it every remote call pays one extra SOAP
+//!    round trip to the VSR (a resolve whose answer carries the
+//!    gateway's node);
 //!  * **hot-path overhaul** (`BENCH_hotpath.json`) — the record-level
 //!    resolution cache and the registry's name/category indexes, each
 //!    against the pre-overhaul behaviour;

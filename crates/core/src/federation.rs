@@ -628,10 +628,14 @@ pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
 
 /// Serializes one registry inquiry hit the way the single-node VSR
 /// did: categories carry middleware/gateway/contexts, the bound tModel
-/// carries the WSDL (and the `get_tmodel` inquiry is counted).
+/// carries the WSDL (and the `get_tmodel` inquiry is counted). Given a
+/// gateway `directory` that names the record's gateway, a `node` field
+/// carries its backbone node, like a UDDI binding template's access
+/// point — a route miss is then one round trip.
 pub(crate) fn service_to_value(
     registry: &UddiRegistry,
     svc: &wsdl::BusinessService,
+    directory: Option<&HashMap<String, (u32, Version)>>,
 ) -> Option<Value> {
     let middleware = svc
         .categories
@@ -656,13 +660,16 @@ pub(crate) fn service_to_value(
                 .map(|k| (k.to_owned(), Value::Str(c.value.clone())))
         })
         .collect();
-    Some(Value::Record(vec![
+    let node = directory.and_then(|d| d.get(&gateway)).map(|&(n, _)| n);
+    let mut fields = vec![
         ("name".into(), Value::Str(svc.name.clone())),
         ("middleware".into(), Value::Str(middleware)),
         ("gateway".into(), Value::Str(gateway)),
         ("wsdl".into(), Value::Str(tmodel.overview_doc.clone())),
         ("contexts".into(), Value::Record(contexts)),
-    ]))
+    ];
+    fields.extend(node.map(|n| ("node".into(), Value::Int(i64::from(n)))));
+    Some(Value::Record(fields))
 }
 
 // ---- the replica server ----------------------------------------------------
@@ -884,13 +891,6 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                 st.apply_gateway(&name, node as u32, version);
                 Ok(Value::Null)
             }
-            "gateway_node" => {
-                let name = str_arg("name")?;
-                st.gateways
-                    .get(&name)
-                    .map(|&(n, _)| Value::Int(i64::from(n)))
-                    .ok_or(MetaError::GatewayUnreachable(name))
-            }
             "publish" => {
                 let name = str_arg("name")?;
                 let shard = route_write(ctx, sim, call)?;
@@ -965,7 +965,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                     .into_iter()
                     .find(|s| s.name == name)
                     .ok_or(MetaError::UnknownService(name))?;
-                service_to_value(&st.registry, svc)
+                service_to_value(&st.registry, svc, Some(&st.gateways))
                     .ok_or_else(|| MetaError::Repository("corrupt record".into()))
             }
             "find" => {
@@ -1091,7 +1091,7 @@ fn serve_inquiry(
     let mut out = Vec::with_capacity(services.len());
     for svc in services {
         if st.entries.get(&svc.name).is_some_and(|e| e.shard == shard) {
-            if let Some(v) = service_to_value(&st.registry, svc) {
+            if let Some(v) = service_to_value(&st.registry, svc, None) {
                 out.push(v);
             }
         }

@@ -567,8 +567,8 @@ impl Vsg {
     /// The one route resolver. With `use_cache`, a warm cache entry
     /// carries the full record and the serving gateway's node — zero
     /// VSR round trips — and a negative entry answers "unknown" at
-    /// once. Otherwise the VSR resolves the record and the serving
-    /// gateway's node; a definitive "no such service" is cached
+    /// once. Otherwise one VSR answer carries the record and the
+    /// serving gateway's node; a definitive "no such service" is cached
     /// negatively. When the VSR itself is unreachable and `policy`
     /// allows degraded reads, a stale (previously invalidated) route
     /// beats failing the call — §3.1's backbone still works even when
@@ -602,8 +602,8 @@ impl Vsg {
                 Lookup::Miss => {}
             }
         }
-        let record = match self.inner.vsr.resolve(service) {
-            Ok(record) => record,
+        let (record, gw_node) = match self.inner.vsr.locate(service) {
+            Ok(found) => found,
             Err(MetaError::UnknownService(name)) => {
                 // Definitive answer from the repository — cacheable.
                 self.inner.rescache.lock().insert_negative(service);
@@ -629,11 +629,11 @@ impl Vsg {
             }
             Err(e) => return Err(e),
         };
-        let gw_node = self
-            .inner
-            .vsr
-            .gateway_node(&record.gateway)
-            .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
+        // The replica knows the record but not its gateway: an answer,
+        // not a repository failure, and nothing to cache.
+        let Some(gw_node) = gw_node else {
+            return Err(MetaError::GatewayUnreachable(record.gateway));
+        };
         Ok(Route {
             record,
             gw_node,
@@ -1437,6 +1437,23 @@ mod tests {
         let stats = gw_b.cache_stats();
         assert_eq!(stats.hits, 10);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn cold_route_miss_is_one_vsr_round_trip() {
+        let (sim, _net, _vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+        export_lamp(&gw_a);
+        gw_b.set_tracing(true);
+        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
+        let lookups: Vec<String> = gw_b
+            .tracer()
+            .take_spans()
+            .into_iter()
+            .filter(|s| s.kind == HopKind::VsrLookup)
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(lookups, ["resolve"], "the record carries the node");
+        assert_eq!(gw_b.cache_stats().misses, 1);
     }
 
     #[test]

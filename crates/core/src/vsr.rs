@@ -23,7 +23,7 @@ use crate::federation::{
 use crate::iface::ServiceInterface;
 use crate::intern::Name;
 use crate::metrics::MetricsRegistry;
-use crate::resilience::BreakerBank;
+use crate::resilience::{BreakerBank, BreakerState};
 use crate::service::{Middleware, VirtualService};
 use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
@@ -371,6 +371,12 @@ impl VsrClient {
         result
     }
 
+    /// The state of this client's breaker for replica `node` (shared
+    /// by its clones).
+    pub fn breaker_state(&self, node: NodeId) -> BreakerState {
+        self.breakers.state(node)
+    }
+
     fn federation_note(&self, name: impl FnOnce() -> String) {
         let span = self.tracer.begin(&self.sim, HopKind::Federation, name);
         self.tracer.end(&self.sim, span);
@@ -537,31 +543,6 @@ impl VsrClient {
         }
     }
 
-    /// Looks up a gateway's backbone node, trying replicas in map
-    /// order (any replica may know; a directory miss on one is
-    /// retried on the others in case replication is still catching
-    /// up).
-    pub fn gateway_node(&self, name: &str) -> Result<NodeId, MetaError> {
-        let map = self.map()?;
-        let mut last: Option<MetaError> = None;
-        for target in map.nodes() {
-            match self.attempt(target, || {
-                RpcCall::new(VSR_NS, "gateway_node").arg("name", name)
-            }) {
-                None => {}
-                Some(Ok(v)) => {
-                    return v
-                        .as_int()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .map(NodeId)
-                        .ok_or_else(|| MetaError::Repository("bad gateway_node reply".into()))
-                }
-                Some(Err(e)) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(Self::unreachable))
-    }
-
     /// Publishes a virtual service (a write: routed to its shard's
     /// primary).
     pub fn publish(&self, service: &VirtualService) -> Result<(), MetaError> {
@@ -667,14 +648,28 @@ impl VsrClient {
     /// Resolves one service by exact name (routed straight to its
     /// shard — one round trip, no fan-out).
     pub fn resolve(&self, name: &str) -> Result<ServiceRecord, MetaError> {
+        self.locate(name).map(|(record, _)| record)
+    }
+
+    /// [`VsrClient::resolve`], plus the backbone node of the record's
+    /// gateway from the same answer: `None` when the answering replica's
+    /// gateway directory does not name it (never registered, or not yet
+    /// replicated there).
+    pub(crate) fn locate(&self, name: &str) -> Result<(ServiceRecord, Option<NodeId>), MetaError> {
         let shard = self.map()?.shard_of(name);
         let v = self.route(shard, false, &|_| {
             RpcCall::new(VSR_NS, "resolve")
                 .arg("name", name)
                 .arg("shard", i64::from(shard))
         })?;
-        ServiceRecord::from_value(&v)
-            .ok_or_else(|| MetaError::Repository("bad resolve reply".into()))
+        let record = ServiceRecord::from_value(&v)
+            .ok_or_else(|| MetaError::Repository("bad resolve reply".into()))?;
+        let node = v
+            .field("node")
+            .and_then(Value::as_int)
+            .and_then(|n| u32::try_from(n).ok())
+            .map(NodeId);
+        Ok((record, node))
     }
 
     /// Number of published services, summed across shards.
@@ -808,11 +803,27 @@ mod tests {
         let (_sim, net, _vsr, client) = world();
         let gw_node = net.attach("x10-gw");
         client.register_gateway("x10-gw", gw_node).unwrap();
-        assert_eq!(client.gateway_node("x10-gw").unwrap(), gw_node);
-        assert!(matches!(
-            client.gateway_node("ghost-gw"),
-            Err(MetaError::GatewayUnreachable(_))
-        ));
+        client.publish(&lamp_service()).unwrap();
+        let (record, node) = client.locate("hall-lamp").unwrap();
+        assert_eq!(record, client.resolve("hall-lamp").unwrap());
+        assert_eq!(node, Some(gw_node));
+
+        // A record whose gateway never registered still resolves; the
+        // answer just names no node, and the replica's breaker stays
+        // closed.
+        client
+            .publish(&VirtualService::new(
+                "ghost-lamp",
+                catalog::lamp(),
+                Middleware::X10,
+                "ghost-gw",
+            ))
+            .unwrap();
+        for _ in 0..ROUTE_BREAKER_THRESHOLD + 1 {
+            let (record, node) = client.locate("ghost-lamp").unwrap();
+            assert_eq!((record.gateway.as_str(), node), ("ghost-gw", None));
+        }
+        assert_eq!(client.breaker_state(client.seed), BreakerState::Closed);
     }
 
     #[test]
@@ -997,8 +1008,9 @@ mod tests {
 
     /// The rules of the client's replica walks on a 3-replica,
     /// 8-shard cluster: (a) a map refresh outlives the bootstrap
-    /// replica, (b) the gateway directory works with a replica down,
-    /// (c) a domain error from a live primary is final.
+    /// replica, (b) a resolve names the gateway's node when the
+    /// gateway registered with a replica down, (c) a domain error from
+    /// a live primary is final.
     #[test]
     fn replica_walks_keep_their_rules() {
         let sim = Sim::new(11);
@@ -1047,13 +1059,32 @@ mod tests {
         assert_eq!(metrics.snapshot().shard_map_refreshes, 2);
         assert_eq!(vsr.shard_map().primary(shard), backup);
 
-        // (b) The first replica in map order is down.
-        let down = vsr.shard_map().nodes()[0];
+        // (b) The first replica in map order is down when the gateway
+        // registers: registration still succeeds, and a resolve
+        // answered by a live replica names the gateway's node. Once the
+        // replica is back, a resolve it answers names no node until
+        // anti-entropy brings it the directory entry.
+        net.clear_fault_plan();
+        let map = vsr.shard_map();
+        let down = map.nodes()[0];
+        let led = (0..)
+            .map(|i| format!("led-{i}"))
+            .find(|n| map.primary(map.shard_of(n)) == down)
+            .unwrap();
+        let lamp = VirtualService::new(&led, catalog::lamp(), Middleware::X10, "x10-gw");
+        client.publish(&lamp).unwrap();
         let now = sim.now();
         net.set_fault_plan(FaultPlan::new().node_down(down, now, now + SimDuration::from_secs(60)));
         let gw_node = net.attach("x10-gw");
         client.register_gateway("x10-gw", gw_node).unwrap();
-        assert_eq!(client.gateway_node("x10-gw").unwrap(), gw_node);
+        assert_eq!(client.locate(&name).unwrap().1, Some(gw_node));
+        assert_eq!(client.locate(&led).unwrap().1, Some(gw_node), "backup");
+        net.clear_fault_plan();
+        sim.advance(SimDuration::from_millis(ROUTE_BREAKER_WINDOW_MS));
+        assert_eq!(client.locate(&led).unwrap().1, None, "healed primary");
+        vsr.sync_now();
+        assert_eq!(client.locate(&led).unwrap().1, Some(gw_node));
+        let failovers = metrics.snapshot().vsr_failovers;
 
         // (c) Every replica is up: the live primary's UnknownService
         // comes back after one round trip, with no failover.
@@ -1071,6 +1102,6 @@ mod tests {
             .filter(|s| s.kind == HopKind::VsrLookup)
             .count();
         assert_eq!(lookups, 1, "no backup asked");
-        assert_eq!(metrics.snapshot().vsr_failovers, 0);
+        assert_eq!(metrics.snapshot().vsr_failovers, failovers);
     }
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for the bench regression gate (``scripts/bench_gate.py``).
+"""Tests for the bench regression gate (``scripts/bench_gate.py``) and
+the perfbench exact-cell gate (``scripts/perfbench_gate.py``).
 
-Each case writes a baseline and a fresh ``BENCH_*.json`` into temporary
-directories and checks the gate's exit status. Standard library only:
+Each bench-gate case writes a baseline and a fresh ``BENCH_*.json``
+into temporary directories and checks the gate's exit status; each
+perfbench case checks one result line against pinned cells. Standard
+library only:
 
     python3 scripts/test_bench_gate.py
 """
@@ -15,11 +18,18 @@ import tempfile
 import unittest
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_gate", Path(__file__).resolve().parent / "bench_gate.py"
-)
-bench_gate = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_gate)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_gate = _load("bench_gate")
+perfbench_gate = _load("perfbench_gate")
 
 TOLERANCE = 0.25
 
@@ -81,6 +91,38 @@ class GateTest(unittest.TestCase):
             ),
             1,
         )
+
+
+def result(p99=5190, correct=True):
+    """A perfbench result line with two of its deterministic cells."""
+    return {
+        "correct": correct,
+        "metrics": {
+            "op_virtual_p99_us": {"value": p99, "unit": "virtual_us"},
+            "allocs_per_op": {"value": 45.24, "unit": "count"},
+            "ops_per_s": {"value": 60000.0, "unit": "ops/s"},
+        },
+    }
+
+
+PINNED = {"op_virtual_p99_us": 5190, "allocs_per_op": 45.24}
+
+
+class PerfbenchGateTest(unittest.TestCase):
+    def test_exact_cells_pass(self):
+        self.assertEqual(perfbench_gate.check(PINNED, result()), [])
+
+    def test_one_unit_drift_fails(self):
+        self.assertEqual(len(perfbench_gate.check(PINNED, result(p99=5191))), 1)
+        self.assertEqual(len(perfbench_gate.check(PINNED, result(p99=5189))), 1)
+
+    def test_missing_cell_fails(self):
+        self.assertEqual(
+            len(perfbench_gate.check(dict(PINNED, heap_bytes_per_home=1), result())), 1
+        )
+
+    def test_incorrect_result_fails(self):
+        self.assertEqual(len(perfbench_gate.check(PINNED, result(correct=False))), 1)
 
 
 if __name__ == "__main__":

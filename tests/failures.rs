@@ -223,6 +223,56 @@ fn service_relocation_defeats_stale_routes() {
     assert_eq!(got, Value::Bool(true), "re-resolved to the new host");
 }
 
+/// A record whose gateway never registered is the repository's answer,
+/// not its failure: each call to it is `GatewayUnreachable`, and every
+/// VSR replica keeps its breaker closed, so a cold route to a healthy
+/// service still resolves on its shard's primary. The record sits on a
+/// shard whose primary hosts neither replica of the healthy service's
+/// shard, so misses counted against those replicas would leave that
+/// route nowhere to go.
+#[test]
+fn unregistered_gateway_misses_leave_the_vsr_breakers_closed() {
+    use metaware::{catalog, VirtualService};
+
+    let home = SmartHome::builder()
+        .vsr_replicas(3)
+        .vsr_shards(8)
+        .build()
+        .unwrap();
+    let jini_gw = home.jini.as_ref().unwrap().vsg.clone();
+    let map = home.vsr.shard_map();
+    let healthy = map.replicas_for(map.shard_of("dv-camera")).to_vec();
+    let ghost = (0..)
+        .map(|i| format!("ghost-{i}"))
+        .find(|n| !healthy.contains(&map.primary(map.shard_of(n))))
+        .unwrap();
+    jini_gw
+        .vsr()
+        .publish(&VirtualService::new(
+            &ghost,
+            catalog::lamp(),
+            Middleware::X10,
+            "ghost-gw",
+        ))
+        .unwrap();
+    for _ in 0..4 {
+        let err = jini_gw
+            .invoke(&home.sim, &ghost, "status", &[])
+            .unwrap_err();
+        assert!(
+            matches!(&err, MetaError::GatewayUnreachable(gw) if gw == "ghost-gw"),
+            "{err:?}"
+        );
+    }
+    for node in home.vsr.nodes() {
+        assert_eq!(jini_gw.vsr().breaker_state(node), BreakerState::Closed);
+    }
+
+    home.invoke_from(Middleware::Jini, "dv-camera", "status", &[])
+        .unwrap();
+    assert_eq!(jini_gw.metrics().snapshot().vsr_failovers, 0);
+}
+
 #[test]
 fn motion_sensor_loss_is_an_absence_not_a_crash() {
     // On a noisy powerline a sensor's report can vanish entirely; the

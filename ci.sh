@@ -248,7 +248,11 @@ run_perfbench() {
 
     for workload in soap_call_mix directory_churn cloud_fleet; do
         stage "perfbench $workload (1 s, seed 1, exact deterministic cells)"
-        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        # cloud_fleet's allocation and heap cells follow ParSim's worker
+        # count, one per usable core: one core gives one worker on any host.
+        pin=""
+        [ "$workload" = cloud_fleet ] && pin="taskset -c 0"
+        $pin python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
             | tail -n 1 | python3 scripts/perfbench_gate.py "$workload"
     done
 }

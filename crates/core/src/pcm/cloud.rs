@@ -53,7 +53,7 @@ use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
 use simnet::{FaultPlan, Network, NodeId, Protocol, RepeatHandle, Sim, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // configuration
@@ -70,7 +70,10 @@ pub struct CloudConfig {
     pub batch_max: usize,
     /// Period of the bridge pump (connect attempts + outbox drain).
     /// Fires when the event loop is pumped (`run_for`), like every
-    /// other timer in the simulation.
+    /// other timer in the simulation. Ticks before the bridge's wake
+    /// instant (the next connect attempt, the end of a pushback, or
+    /// never while connected with an empty outbox) still count as
+    /// events but are replayed by the queue without running the pump.
     pub drain_period: SimDuration,
     /// First reconnect backoff; doubles per failed attempt.
     pub base_backoff: SimDuration,
@@ -333,6 +336,8 @@ struct BridgeInner {
     applier: Mutex<CommandApplier>,
     tracer: Tracer,
     metrics: Arc<MetricsRegistry>,
+    /// The island's pump timer, set once it is armed.
+    pump: OnceLock<RepeatHandle>,
 }
 
 /// The home side of the cloud bridge: outbox, epochs, reconnect,
@@ -479,31 +484,39 @@ impl CloudBridgePcm {
             EntryKind::Notify => st.stats.notify_enqueued += 1,
             _ => st.stats.lifecycle_enqueued += 1,
         }
+        self.publish_wake(&st);
         Ok(seq)
     }
 
-    /// One pump tick: attempt a (re)connect when due, then drain the
-    /// outbox while connected and not throttled. Driven by the island's
-    /// repeat timer; tests may call it directly.
-    pub fn pump(&self) {
-        let now = self.inner.sim.now();
-        let due = {
-            let st = self.inner.state.lock();
-            if st.connected {
-                now >= st.throttled_until
-            } else {
-                now >= st.next_attempt_at
-            }
+    /// Tells the pump timer the earliest instant at which `pump` can act:
+    /// the next connect attempt while disconnected, the end of a
+    /// pushback while entries wait, and never while connected with an
+    /// empty outbox. Its earlier ticks are replayed without calling back.
+    fn publish_wake(&self, st: &BridgeState) {
+        let wake = if !st.connected {
+            st.next_attempt_at
+        } else if !st.outbox.is_empty() {
+            st.throttled_until
+        } else {
+            SimTime::MAX
         };
-        if !due {
-            return;
+        if let Some(pump) = self.inner.pump.get() {
+            pump.set_wake(wake);
         }
+    }
+
+    /// One pump tick: a (re)connect attempt while disconnected, then
+    /// the outbox drain while connected. Driven by the island's pump
+    /// timer, which calls back only from the published wake instant on,
+    /// so a reconnect is never early and a drain never throttled.
+    fn pump(&self) {
         if !self.is_connected() {
             self.try_connect();
         }
         if self.is_connected() {
             self.drain();
         }
+        self.publish_wake(&self.inner.state.lock());
     }
 
     /// The reconnect wait after `attempt` failed connects, paced by the
@@ -1039,15 +1052,13 @@ impl CloudCell {
 // the island pair
 // ---------------------------------------------------------------------------
 
-/// One home's cloud attachment: the home-side bridge, its cloud-edge
-/// cell, the WAN between them, and the pump timer.
+/// One home's cloud attachment: the home-side bridge (which owns the
+/// pump timer), its cloud-edge cell, and the WAN between them.
 pub struct CloudIsland {
     /// The home side (outbox, epochs, dedup).
     pub bridge: CloudBridgePcm,
     /// The cloud-edge side (fencing, digest, admission, downward RPC).
     pub cell: CloudCell,
-    /// The pump timer (kept so it stays cancellable).
-    pub pump_timer: RepeatHandle,
     tracer: Tracer,
     metrics: Arc<MetricsRegistry>,
 }
@@ -1089,6 +1100,7 @@ impl CloudIsland {
                 })),
                 tracer: tracer.clone(),
                 metrics: metrics.clone(),
+                pump: OnceLock::new(),
             }),
         };
         let cell = CloudCell {
@@ -1135,10 +1147,10 @@ impl CloudIsland {
         .expect("home node attached");
         let bridge_for_pump = bridge.clone();
         let pump_timer = sim.every(cfg.drain_period, move |_| bridge_for_pump.pump());
+        let _ = bridge.inner.pump.set(pump_timer);
         CloudIsland {
             bridge,
             cell,
-            pump_timer,
             tracer,
             metrics,
         }

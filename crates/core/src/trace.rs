@@ -20,12 +20,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-// Trace and span ids are drawn from the *simulation world's* serial
-// well ([`Sim::next_serial`]), not process-wide statics: every gateway
-// of one home shares one `Sim`, so the two halves of a cross-gateway
-// trace still never collide, while the id stream is a pure function of
-// that island's own event order — identical under any thread count,
-// and namespaced by island id so fleets cannot collide either.
+// Trace and span ids are drawn from the *simulation world's* wells
+// ([`Sim::next_trace_serial`], [`Sim::next_serial`]), not process-wide
+// statics: every gateway of one home shares one `Sim`, so the two
+// halves of a cross-gateway trace still never collide, while the id
+// stream is a pure function of that island's own event order —
+// identical under any thread count, and namespaced by island id so
+// fleets cannot collide either. Trace ids have a well of their own, so
+// the n-th trace's id (which head sampling hashes) does not depend on
+// how many spans the traces before it recorded.
 
 /// Identity of one end-to-end trace (shared by every hop of one call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,7 +36,7 @@ pub struct TraceId(pub u64);
 
 impl TraceId {
     fn next(sim: &Sim) -> TraceId {
-        TraceId(sim.next_serial())
+        TraceId(sim.next_trace_serial())
     }
 }
 

@@ -18,11 +18,11 @@
 //! prototype makes by using synchronous SOAP RPC.
 
 use crate::rng::SimRng;
-use crate::sched::{EventQueue, TimerId};
+use crate::sched::{EventQueue, Popped, RepeatKey, TimerId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A cheaply clonable handle to one simulation world.
@@ -42,38 +42,54 @@ struct SimInner {
     tracer: Mutex<Tracer>,
     /// Which island of a partitioned run this world is (0 for
     /// standalone worlds). Baked into every id drawn from `next_serial`
-    /// so ids are unique fleet-wide without cross-island coordination.
+    /// and `next_trace_serial` so ids are unique fleet-wide without
+    /// cross-island coordination.
     island: u32,
-    /// Monotonic well for trace/span/correlation ids. Per-world (not
+    /// Monotonic well for span/correlation ids. Per-world (not
     /// process-wide) so id streams depend only on this island's own
     /// event order — identical under any thread count.
     serial: AtomicU64,
+    /// The well for trace ids alone, so the n-th trace of a world gets
+    /// the same id however many spans earlier traces recorded.
+    trace_serial: AtomicU64,
 }
 
-/// Cancellation handle for a repeating timer created by [`Sim::every`].
+/// Handle to a repeating timer created by [`Sim::every`]: cancels it
+/// and publishes its wake instant.
 #[derive(Clone)]
 pub struct RepeatHandle {
-    alive: Arc<AtomicBool>,
     sim: Sim,
-    /// The currently scheduled occurrence, so `cancel` can reap it
-    /// eagerly instead of leaving a zombie tick in the queue.
-    current: Arc<Mutex<Option<TimerId>>>,
+    key: RepeatKey,
 }
 
 impl RepeatHandle {
-    /// Stops future repetitions and cancels the already-scheduled next
-    /// occurrence, so a stopped repeat leaves nothing behind in the
-    /// event queue (fleet runs stop thousands of heartbeats).
+    /// Stops future repetitions and marks the already-scheduled next
+    /// occurrence cancelled, so it no longer counts as pending and is
+    /// reaped when it surfaces (fleet runs stop thousands of
+    /// heartbeats). Cancelling from inside the callback stops the
+    /// re-arm.
     pub fn cancel(&self) {
-        self.alive.store(false, Ordering::SeqCst);
-        if let Some(id) = self.current.lock().take() {
-            self.sim.cancel(id);
-        }
+        let f = self.sim.inner.queue.lock().cancel_repeat(self.key);
+        drop(f);
     }
 
-    /// True if the repetition has not been cancelled.
+    /// True if the repetition has not been cancelled (or cleared by
+    /// [`Sim::clear_timers`]).
     pub fn is_active(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
+        self.sim.inner.queue.lock().repeat_active(self.key)
+    }
+
+    /// Publishes the earliest pop clock at which the callback can do
+    /// anything. Ticks that pop earlier are replayed by the queue
+    /// without calling back: each still moves the clock, re-arms one
+    /// period on, takes a timer id and counts as a fired event, exactly
+    /// like a tick whose callback did nothing. `SimTime::ZERO` (the
+    /// initial value) calls back on every tick; `SimTime::MAX` on none.
+    ///
+    /// The owner must republish whenever its state changes in a way
+    /// that lets an earlier tick act.
+    pub fn set_wake(&self, wake: SimTime) {
+        self.sim.inner.queue.lock().set_wake(self.key, wake);
     }
 }
 
@@ -96,6 +112,7 @@ impl Sim {
                 tracer: Mutex::new(Tracer::default()),
                 island,
                 serial: AtomicU64::new(0),
+                trace_serial: AtomicU64::new(0),
             }),
         }
     }
@@ -109,7 +126,18 @@ impl Sim {
     /// island: `(island << 40) | serial`. Deterministic because it
     /// depends only on this island's own event order.
     pub fn next_serial(&self) -> u64 {
-        let serial = self.inner.serial.fetch_add(1, Ordering::Relaxed);
+        self.namespaced(self.inner.serial.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Draws the next trace id from this world's own trace well,
+    /// namespaced like [`Sim::next_serial`]. Separate from the span well
+    /// so head sampling by trace id does not shift when an unrelated
+    /// earlier call records one span more or fewer.
+    pub fn next_trace_serial(&self) -> u64 {
+        self.namespaced(self.inner.trace_serial.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn namespaced(&self, serial: u64) -> u64 {
         (u64::from(self.inner.island) << 40) | (serial & ((1 << 40) - 1))
     }
 
@@ -164,35 +192,16 @@ impl Sim {
         f: impl FnMut(&Sim) + Send + 'static,
     ) -> RepeatHandle {
         assert!(!period.is_zero(), "repeating timer period must be non-zero");
-        let alive = Arc::new(AtomicBool::new(true));
-        let current = Arc::new(Mutex::new(None));
-        let handle = RepeatHandle {
-            alive: alive.clone(),
+        let first = self.now() + phase + period;
+        let key = self
+            .inner
+            .queue
+            .lock()
+            .push_repeat(first, period, Box::new(f));
+        RepeatHandle {
             sim: self.clone(),
-            current: current.clone(),
-        };
-        fn arm(
-            sim: &Sim,
-            delay: SimDuration,
-            period: SimDuration,
-            alive: Arc<AtomicBool>,
-            current: Arc<Mutex<Option<TimerId>>>,
-            mut f: impl FnMut(&Sim) + Send + 'static,
-        ) {
-            let slot = current.clone();
-            let id = sim.schedule_in(delay, move |sim| {
-                if !alive.load(Ordering::SeqCst) {
-                    return;
-                }
-                f(sim);
-                if alive.load(Ordering::SeqCst) {
-                    arm(sim, period, period, alive, current, f);
-                }
-            });
-            *slot.lock() = Some(id);
+            key,
         }
-        arm(self, phase + period, period, alive, current, f);
-        handle
     }
 
     /// Cancels a one-shot timer.
@@ -226,13 +235,13 @@ impl Sim {
     /// Fires the earliest pending timer, advancing the clock to its
     /// deadline. Returns `false` if no timer is pending.
     pub fn step(&self) -> bool {
-        self.fire_next(SimTime::MAX)
+        self.fire_due(|_| true, 1) == 1
     }
 
     /// Fires all timers due up to `deadline` (inclusive), in order, then
     /// sets the clock to `deadline` if it is later than the current time.
     pub fn run_until(&self, deadline: SimTime) {
-        while self.fire_next(deadline) {}
+        self.fire_due(|at| at <= deadline, usize::MAX);
         let mut clock = self.inner.clock.lock();
         if *clock < deadline {
             *clock = deadline;
@@ -252,50 +261,50 @@ impl Sim {
     /// and the clock is left free for the next window's events.
     /// Returns the number of events fired.
     pub fn run_window(&self, bound: SimTime) -> usize {
-        let mut fired = 0;
-        loop {
-            let entry = self.inner.queue.lock().pop_before(bound);
-            match entry {
-                Some(e) => {
-                    {
-                        let mut clock = self.inner.clock.lock();
-                        if *clock < e.at {
-                            *clock = e.at;
-                        }
-                    }
-                    (e.f)(self);
-                    fired += 1;
-                }
-                None => return fired,
-            }
-        }
+        self.fire_due(|at| at < bound, usize::MAX)
     }
 
     /// Fires timers until the queue is empty (or `max_events` fired),
     /// letting the clock follow the timers. Returns the number fired.
     pub fn drain(&self, max_events: usize) -> usize {
+        self.fire_due(|_| true, max_events)
+    }
+
+    /// Fires up to `budget` events whose time `due` accepts, in order,
+    /// and returns how many fired. Replayed idle repeat ticks count as
+    /// fired events; runs of them are taken under one lock.
+    fn fire_due(&self, due: impl Fn(SimTime) -> bool, budget: usize) -> usize {
         let mut fired = 0;
-        while fired < max_events && self.step() {
+        while fired < budget {
+            let popped = {
+                let mut queue = self.inner.queue.lock();
+                let mut clock = self.inner.clock.lock();
+                loop {
+                    match queue.pop_if(&due, &mut clock) {
+                        Some(Popped::Idle) => {
+                            fired += 1;
+                            if fired == budget {
+                                return fired;
+                            }
+                        }
+                        other => break other,
+                    }
+                }
+            };
+            match popped {
+                None => break,
+                Some(Popped::Once(f)) => f(self),
+                Some(Popped::Repeat(mut tick)) => {
+                    (tick.f)(self);
+                    let now = self.now();
+                    let stale = self.inner.queue.lock().rearm(tick, now);
+                    drop(stale);
+                }
+                Some(Popped::Idle) => unreachable!("idle ticks are replayed above"),
+            }
             fired += 1;
         }
         fired
-    }
-
-    fn fire_next(&self, deadline: SimTime) -> bool {
-        let entry = self.inner.queue.lock().pop_due(deadline);
-        match entry {
-            Some(e) => {
-                {
-                    let mut clock = self.inner.clock.lock();
-                    if *clock < e.at {
-                        *clock = e.at;
-                    }
-                }
-                (e.f)(self);
-                true
-            }
-            None => false,
-        }
     }
 
     // ---- randomness -----------------------------------------------------
@@ -342,7 +351,7 @@ impl std::fmt::Debug for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn advance_moves_clock_without_firing() {
@@ -441,6 +450,23 @@ mod tests {
     }
 
     #[test]
+    fn clearing_inside_a_repeat_keeps_that_repeat() {
+        let sim = Sim::new(1);
+        sim.schedule_in(SimDuration::from_millis(100), |_| {});
+        let count = Arc::new(AtomicU64::new(0));
+        let c = count.clone();
+        let handle = sim.every(SimDuration::from_millis(10), move |sim| {
+            if c.fetch_add(1, Ordering::SeqCst) == 0 {
+                sim.clear_timers();
+            }
+        });
+        sim.run_for(SimDuration::from_millis(35));
+        assert_eq!(count.load(Ordering::SeqCst), 3);
+        assert!(handle.is_active());
+        assert_eq!(sim.pending_timers(), 1, "only the repeat's next tick");
+    }
+
+    #[test]
     fn drain_respects_event_budget() {
         let sim = Sim::new(1);
         for i in 1..=10u64 {
@@ -500,6 +526,11 @@ mod tests {
         assert_eq!(a.next_serial(), 1);
         assert_eq!(b.next_serial(), 3u64 << 40);
         assert_eq!(b.next_serial(), (3u64 << 40) | 1);
+        assert_eq!(
+            b.next_trace_serial(),
+            3u64 << 40,
+            "trace ids have their own well"
+        );
     }
 
     #[test]

@@ -14,6 +14,11 @@ Run from the repository root, one workload at a time:
     python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \\
         | tail -n 1 | python3 scripts/perfbench_gate.py W
 
+``cloud_fleet`` runs ParSim with one worker thread per core, and its
+allocation and heap cells follow the worker count, so run it on one
+core (``taskset -c 0 python3 perfbench/run.py ...``), as the baseline
+was recorded.
+
 With ``--record`` the result's cells are written into the baseline
 instead: a change that moves a cell on purpose re-records it and says
 so in CHANGES.md. Exit status: 0 green, 1 on a drifted or missing cell
@@ -34,13 +39,6 @@ CELLS = (
     "heap_bytes_per_home",
     "ok_ratio",
 )
-
-# cloud_fleet runs ParSim with one worker thread per core, and its
-# allocation and heap figures move with the thread count (48.71 allocs/op
-# on two threads, 48.62 on one), so on a host of any other size they
-# would drift. Its virtual, wire and ok cells do not, and stay pinned.
-THREAD_DEPENDENT = {"cloud_fleet": ("allocs_per_op", "heap_bytes_per_home")}
-
 
 def check(pinned, result):
     """Returns one failure string per cell of ``pinned`` (cell -> value)
@@ -69,8 +67,7 @@ def main():
     baseline = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
     if record:
         metrics = result["metrics"]
-        skip = THREAD_DEPENDENT.get(workload, ())
-        baseline[workload] = {c: metrics[c]["value"] for c in CELLS if c not in skip}
+        baseline[workload] = {c: metrics[c]["value"] for c in CELLS}
         BASELINE.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
         print(f"perfbench gate: recorded {workload}")
         return 0

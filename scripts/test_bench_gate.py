@@ -124,6 +124,16 @@ class PerfbenchGateTest(unittest.TestCase):
     def test_incorrect_result_fails(self):
         self.assertEqual(len(perfbench_gate.check(PINNED, result(correct=False))), 1)
 
+    def test_baseline_pins_every_cell_of_every_workload(self):
+        # cloud_fleet's allocation and heap cells included, so a return
+        # to a per-tick allocation in the scheduler fails the gate: one
+        # allocation more per episode (11520 ops) is a drift.
+        baseline = json.loads(perfbench_gate.BASELINE.read_text())
+        for workload in ("soap_call_mix", "directory_churn", "cloud_fleet"):
+            self.assertEqual(sorted(baseline[workload]), sorted(perfbench_gate.CELLS), workload)
+        allocs = baseline["cloud_fleet"]["allocs_per_op"]
+        line = {"correct": True, "metrics": {"allocs_per_op": {"value": allocs + 1 / 11520}}}
+        self.assertEqual(len(perfbench_gate.check({"allocs_per_op": allocs}, line)), 1)
 
 if __name__ == "__main__":
     unittest.main()

@@ -177,3 +177,38 @@ fn fleet_snapshot_memory_is_sample_count_independent() {
     assert_eq!(snap.registry.latency.count, 100);
     assert!(std::mem::size_of_val(&snap.registry.latency) < 1024);
 }
+
+/// Head sampling keeps the same calls, by call index, when an unrelated
+/// warm-up call records one span more: trace ids do not share a well
+/// with span ids.
+#[test]
+fn head_sampling_ignores_span_count_of_earlier_calls() {
+    use metaware::trace::{HopKind, Tracer};
+    use simnet::Sim;
+
+    fn kept_calls(extra_warmup_span: bool) -> Vec<usize> {
+        let sim = Sim::new(12);
+        let tracer = Tracer::new("gw");
+        tracer.set_enabled(true);
+        let warmup = tracer.begin_root(&sim, HopKind::ClientProxy, || "warm-up".into());
+        if extra_warmup_span {
+            let lookup = tracer.begin(&sim, HopKind::VsrLookup, || "lookup".into());
+            tracer.end(&sim, lookup);
+        }
+        tracer.end(&sim, warmup);
+        let policy = SamplePolicy::sampled(100);
+        (0..2_000)
+            .filter(|_| {
+                let call = tracer.begin_root(&sim, HopKind::ClientProxy, || "call".into());
+                let hop = tracer.begin(&sim, HopKind::PcmConvert, || "convert".into());
+                tracer.end(&sim, hop);
+                let trace = call.trace_id().expect("tracing is on");
+                tracer.end(&sim, call);
+                policy.head_keep(trace)
+            })
+            .collect()
+    }
+    let plain = kept_calls(false);
+    assert!(!plain.is_empty(), "1% of 2000 calls keeps some");
+    assert_eq!(plain, kept_calls(true));
+}
